@@ -136,13 +136,14 @@ class TestAdmission:
             server.stop()
             run_service.close()
 
-    def test_quota_caps_active_jobs_per_tenant(self, ghz_spec):
+    def test_quota_caps_active_jobs_per_tenant(self, ghz_spec, held_jobs):
         run_service = RunService(workers=1, limiter=TenantRateLimiter(max_active=1))
         server = ServerThread(run_service)
         url = server.start()
         alice = ServiceClient(url, tenant="alice")
         bob = ServiceClient(url, tenant="bob")
         try:
+            # held_jobs keeps alice's job active until the gate is released.
             alice.submit(_adaptive_spec(ghz_spec, rounds=8, seed=1))
             with pytest.raises(ServiceBusyError) as info:
                 alice.submit(ghz_spec(shots=200, seed=2))
@@ -150,22 +151,29 @@ class TestAdmission:
             # Another tenant is unaffected by alice's quota.
             bob.submit(ghz_spec(shots=200, seed=3))
         finally:
+            held_jobs.set()
             server.stop()
             run_service.close()
 
-    def test_drain_refuses_with_503_and_finishes_in_flight(self, tmp_path, ghz_spec):
+    def test_drain_refuses_with_503_and_finishes_in_flight(
+        self, tmp_path, ghz_spec, held_jobs
+    ):
         store = RunStore(tmp_path / "store")
         run_service = RunService(store=store, workers=2)
         server = ServerThread(run_service)
         client = ServiceClient(server.start())
         spec = _adaptive_spec(ghz_spec, rounds=6)
-        job_id = client.submit(spec)["job_id"]
+        client.submit(spec)
         run_service.begin_drain()
         with pytest.raises(ServiceBusyError) as info:
             client.submit(ghz_spec(shots=200, seed=99))
         assert info.value.status == 503
         assert info.value.retry_after > 0
         assert client.health()["draining"] is True
+        # The held job is genuinely in flight when the drain begins.
+        assert run_service.scheduler.active_jobs() == 1
+        assert store.get_stage(spec.fingerprint(), "result") is None
+        held_jobs.set()
         # Stopping with drain=True waits for the in-flight job to finish.
         server.stop(drain=True)
         run_service.close()
