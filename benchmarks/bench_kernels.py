@@ -1,11 +1,11 @@
-"""Benchmark: axis-local einsum kernels vs the dense full-space reference.
+"""Benchmark: axis-local simulation kernels vs the full-space reference.
 
 Run with ``pytest benchmarks/bench_kernels.py -q -s``.
 
-Two paired workloads time identical circuits under ``kernel="einsum"`` (the
-axis-local contraction kernels of :mod:`repro.circuits.kernels`) and
-``kernel="dense"`` (the legacy path that expands every operator to
-``2^n × 2^n``):
+Two paired workloads time identical circuits on the library simulators (the
+axis-local contraction kernels of :mod:`repro.circuits.kernels`) and on the
+full-space reference simulators of ``tests/reference/dense.py`` (which
+expand every operator to ``2^n × 2^n``):
 
 * a **density-matrix chain** — H/CX/T ladder with terminal measurements —
   through :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`;
@@ -14,16 +14,17 @@ axis-local contraction kernels of :mod:`repro.circuits.kernels`) and
 
 Asserted invariants (deterministic under the pinned seeds):
 
-* paired median wall times give einsum **≥ 5×** over dense on the
-  density-matrix workload and **≥ 10×** on the statevector workload;
+* paired median wall times give the library simulators **≥ 5×** over the
+  reference on the density-matrix workload and **≥ 10×** on the
+  statevector workload;
 * the exact classical distribution of the density-matrix workload and the
-  final statevector are **bitwise identical** between kernels (the
+  final statevector are **bitwise identical** to the reference (the
   workload's gate entries make the contraction arithmetic exact, and
   measurement/reset kernels are bitwise by construction);
 * a backend grid — serial / vectorized / process-pool / the distributed
   ``execute_unit`` path — returns **bitwise-identical** exact distributions
-  and sampled counts for the same seed, for each kernel and *between*
-  kernels;
+  and sampled counts for the same seed, equal to the reference distribution
+  and to counts sampled from it;
 * the prepared-operator LRU served repeat gate applications (hits observed).
 
 ``BENCH_kernels.json`` is written through the shared ``bench_artifact``
@@ -31,7 +32,7 @@ writer (``REPRO_BENCH_OUT`` overrides the directory).  The default smoke
 configuration (9-qubit density matrix, 12-qubit statevector) keeps CI to
 tens of seconds; set ``REPRO_BENCH_FULL=1`` for the headline scales
 (12-qubit density matrix, 14-qubit statevector — several minutes, dominated
-by the dense reference arm).
+by the reference arm).
 """
 
 import os
@@ -47,12 +48,15 @@ from repro.circuits.backends import (
     VectorizedBackend,
 )
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.kernels import KERNEL_NAMES, clear_prepared_cache, prepared_cache_info
+from repro.circuits.kernels import clear_prepared_cache, prepared_cache_info
 from repro.circuits.statevector_simulator import StatevectorSimulator
 from repro.distributed import WorkUnit, execute_unit
+from repro.utils.rng import spawn_seed_sequences
+from tests.reference.dense import DenseDensityMatrixSimulator, DenseStatevectorSimulator
 
-#: Speedup floors (paired medians, dense over einsum).
+#: Speedup floors (paired medians, reference over library simulator).
 SPEEDUP_FLOOR_DM = 5.0
 SPEEDUP_FLOOR_SV = 10.0
 #: Seed of every sampled arm (the grid asserts bitwise identity under it).
@@ -60,7 +64,7 @@ SEED = 777
 #: Shots per circuit in the backend grid.
 SHOTS = 512
 #: Scale of the cross-backend identity grid (kept small: identity is
-#: scale-independent, and the grid re-simulates the dense arm per backend).
+#: scale-independent).
 GRID_QUBITS = 6
 
 
@@ -68,8 +72,9 @@ def density_chain(num_qubits: int) -> QuantumCircuit:
     """H/CX/T ladder with the end qubits measured.
 
     The gate entries (0, ±1, 1/√2, e^{iπ/4}) keep the axis-local contraction
-    bitwise identical to the dense sandwich on this workload, which is what
-    lets the benchmark assert exact distribution identity between kernels.
+    bitwise identical to the full-space sandwich on this workload, which is
+    what lets the benchmark assert exact distribution identity with the
+    reference.
     """
     circuit = QuantumCircuit(num_qubits, 2, name=f"dm-chain{num_qubits}")
     circuit.h(0)
@@ -110,12 +115,12 @@ def _median_seconds(run, repeats: int) -> tuple[float, object]:
     return statistics.median(samples), result
 
 
-def _grid_results(kernel: str, circuits, shots):
+def _grid_results(circuits, shots):
     """Exact distributions + sampled counts from every in-process backend."""
     backends = {
-        "serial": SerialBackend(kernel=kernel),
-        "vectorized": VectorizedBackend(cache=DistributionCache(), kernel=kernel),
-        "process-pool": ProcessPoolBackend(kernel=kernel),
+        "serial": SerialBackend(),
+        "vectorized": VectorizedBackend(cache=DistributionCache()),
+        "process-pool": ProcessPoolBackend(),
     }
     results = {}
     for name, backend in backends.items():
@@ -125,8 +130,27 @@ def _grid_results(kernel: str, circuits, shots):
     return results
 
 
+def _reference_results(circuits, shots):
+    """The reference distributions, sampled with the backends' per-circuit streams."""
+    distributions = [
+        DenseDensityMatrixSimulator().run(circuit).classical_distribution() for circuit in circuits
+    ]
+    counts = [
+        dict(
+            Counts.from_probabilities(
+                distribution, shots=count, num_clbits=circuit.num_clbits,
+                seed=np.random.default_rng(child),
+            )
+        )
+        for circuit, distribution, count, child in zip(
+            circuits, distributions, shots, spawn_seed_sequences(SEED, len(circuits))
+        )
+    ]
+    return distributions, counts
+
+
 def test_kernel_speedup_and_bitwise_identity(bench_artifact):
-    """einsum beats dense ≥5×/≥10× with bitwise-identical results everywhere."""
+    """The library simulators beat the reference ≥5×/≥10× with bitwise-identical results."""
     full = os.environ.get("REPRO_BENCH_FULL", "") == "1"
     config = _configuration(full)
     repeats = config["repeats"]
@@ -135,17 +159,17 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
     dm_circuit = density_chain(config["dm_qubits"])
     clear_prepared_cache()
     einsum_dm_seconds, einsum_dm_result = _median_seconds(
-        lambda: DensityMatrixSimulator(kernel="einsum").run(dm_circuit), repeats
+        lambda: DensityMatrixSimulator().run(dm_circuit), repeats
     )
     cache_info = prepared_cache_info()
     dense_dm_seconds, dense_dm_result = _median_seconds(
-        lambda: DensityMatrixSimulator(kernel="dense").run(dm_circuit), repeats
+        lambda: DenseDensityMatrixSimulator().run(dm_circuit), repeats
     )
     dm_speedup = dense_dm_seconds / einsum_dm_seconds
     einsum_distribution = einsum_dm_result.classical_distribution()
     dense_distribution = dense_dm_result.classical_distribution()
     assert einsum_distribution == dense_distribution, (
-        "density-matrix distributions differ between kernels"
+        "density-matrix distribution differs from the reference"
     )
     assert dm_speedup >= SPEEDUP_FLOOR_DM, (
         f"einsum {einsum_dm_seconds:.3f}s vs dense {dense_dm_seconds:.3f}s: "
@@ -157,61 +181,52 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
     # -- statevector arm ----------------------------------------------------------
     sv_circuit = statevector_chain(config["sv_qubits"], config["sv_links"])
     einsum_sv_seconds, einsum_sv_state = _median_seconds(
-        lambda: StatevectorSimulator(kernel="einsum").run(sv_circuit), repeats
+        lambda: StatevectorSimulator().run(sv_circuit), repeats
     )
     dense_sv_seconds, dense_sv_state = _median_seconds(
-        lambda: StatevectorSimulator(kernel="dense").run(sv_circuit), repeats
+        lambda: DenseStatevectorSimulator().run(sv_circuit), repeats
     )
     sv_speedup = dense_sv_seconds / einsum_sv_seconds
     assert np.array_equal(einsum_sv_state.data, dense_sv_state.data), (
-        "statevectors differ between kernels"
+        "statevector differs from the reference"
     )
     assert sv_speedup >= SPEEDUP_FLOOR_SV, (
         f"einsum {einsum_sv_seconds:.3f}s vs dense {dense_sv_seconds:.3f}s: "
         f"{sv_speedup:.1f}x < {SPEEDUP_FLOOR_SV}x on {config['sv_qubits']}-qubit statevector"
     )
 
-    # -- backend grid: bitwise identity across backends and kernels ---------------
+    # -- backend grid: bitwise identity across backends and with the reference ----
     grid_circuit = density_chain(GRID_QUBITS)
     grid_circuits = [grid_circuit, grid_circuit.copy()]
     grid_shots = [SHOTS, SHOTS // 2]
-    grids = {kernel: _grid_results(kernel, grid_circuits, grid_shots) for kernel in KERNEL_NAMES}
-    reference = grids["einsum"]["serial"]
-    for kernel, grid in grids.items():
-        for backend_name, got in grid.items():
-            assert got == reference, (
-                f"{backend_name}/{kernel} diverged from serial/einsum"
-            )
+    reference = _reference_results(grid_circuits, grid_shots)
+    for backend_name, got in _grid_results(grid_circuits, grid_shots).items():
+        assert got == reference, f"{backend_name} diverged from the reference"
 
     # Distributed seam: execute_unit (what every pool worker runs) agrees
-    # between kernels and with the in-process grid for the same round seed.
+    # with the in-process grid and the reference for the same round seed.
     unit = WorkUnit(round_index=0, term_index=0, shots=SHOTS, seed=np.random.SeedSequence(SEED))
     selected = [[0, 1], [0, 1]]
-    distributed_means = {
-        kernel: execute_unit(
-            VectorizedBackend(cache=DistributionCache(), kernel=kernel),
-            grid_circuits,
-            selected,
-            unit,
-        ).mean
-        for kernel in KERNEL_NAMES
-    }
-    assert distributed_means["einsum"] == distributed_means["dense"]
+    distributed_mean = execute_unit(
+        VectorizedBackend(cache=DistributionCache()), grid_circuits, selected, unit
+    ).mean
+    reference_counts = Counts(reference[1][0], num_clbits=grid_circuit.num_clbits)
+    assert distributed_mean == reference_counts.expectation_z([0, 1])
 
     record = {
         "config": config,
         "density_matrix": {
             "qubits": config["dm_qubits"],
-            "einsum_median_seconds": round(einsum_dm_seconds, 6),
-            "dense_median_seconds": round(dense_dm_seconds, 6),
+            "median_seconds": round(einsum_dm_seconds, 6),
+            "reference_median_seconds": round(dense_dm_seconds, 6),
             "speedup": round(dm_speedup, 2),
             "floor": SPEEDUP_FLOOR_DM,
             "distribution_bitwise_identical": True,
         },
         "statevector": {
             "qubits": config["sv_qubits"],
-            "einsum_median_seconds": round(einsum_sv_seconds, 6),
-            "dense_median_seconds": round(dense_sv_seconds, 6),
+            "median_seconds": round(einsum_sv_seconds, 6),
+            "reference_median_seconds": round(dense_sv_seconds, 6),
             "speedup": round(sv_speedup, 2),
             "floor": SPEEDUP_FLOOR_SV,
             "state_bitwise_identical": True,
@@ -219,9 +234,9 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
         "backend_grid": {
             "qubits": GRID_QUBITS,
             "backends": ["serial", "vectorized", "process-pool", "distributed-unit"],
-            "kernels": list(KERNEL_NAMES),
+            "reference": "tests/reference/dense.py",
             "bitwise_identical": True,
-            "distributed_mean": distributed_means["einsum"],
+            "distributed_mean": distributed_mean,
         },
         "prepared_operator_cache": cache_info,
     }

@@ -61,19 +61,10 @@ def test_benchmark_shot_sampling_ghz(benchmark):
     circuit = QuantumCircuit(6, 6, name="ghz_measured")
     circuit.compose(ghz_circuit(6), inplace=True)
     circuit.measure_all()
-    simulator = ShotSimulator(method="exact")
+    simulator = ShotSimulator()
     counts = benchmark(simulator.run, circuit, 10_000, 7)
     assert counts.shots == 10_000
     assert set(counts.keys()) <= {"000000", "111111"}
-
-
-def test_benchmark_trajectory_sampling(benchmark):
-    """Per-shot trajectory sampling (500 shots) of the teleportation circuit."""
-    message = random_statevector(1, seed=3)
-    circuit = teleportation_circuit(message_state=message, resource=1.0)
-    simulator = ShotSimulator(method="trajectory")
-    counts = benchmark(simulator.run, circuit, 500, 11)
-    assert counts.shots == 500
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ Available backends
 
 =====================  ======================================================
 ``SerialBackend``      One :class:`~repro.circuits.shot_simulator.ShotSimulator`
-                       run per circuit, in submission order.  Supports the
-                       ``trajectory`` method; the reference implementation
-                       every other backend must agree with.
+                       run per circuit, in submission order; the baseline
+                       every other backend must agree with bitwise.
 ``VectorizedBackend``  Groups structurally identical circuits, executes each
                        group as one ``(batch, dim, dim)`` NumPy computation
                        (:class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`),
@@ -61,7 +60,6 @@ from repro.circuits.batched_simulator import BatchedDensityMatrixSimulator, stru
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.kernels import DEFAULT_KERNEL, resolve_kernel
 from repro.circuits.shot_simulator import ShotSimulator
 from repro.utils.rng import SeedLike, spawn_seed_sequences
 
@@ -73,7 +71,6 @@ __all__ = [
     "DistributionCache",
     "default_distribution_cache",
     "circuit_fingerprint",
-    "kernel_cache_key",
     "resolve_backend",
     "BACKEND_NAMES",
 ]
@@ -117,20 +114,6 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
             digest.update(str(matrix.shape).encode())
             digest.update(matrix.tobytes())
     return digest.hexdigest()
-
-
-def kernel_cache_key(fingerprint: str, kernel: str) -> str:
-    """Return a distribution-cache key scoped to a simulation kernel.
-
-    The default kernel keeps the bare fingerprint — preserving every existing
-    cache key (including the noisy composition of
-    :func:`repro.devices.backend.noisy_cache_key`) — while non-default
-    kernels get a suffixed key so a ``kernel="dense"`` run can share a cache
-    with default sweeps without poisoning their entries.
-    """
-    if kernel == DEFAULT_KERNEL:
-        return fingerprint
-    return f"{fingerprint}|kernel={kernel}"
 
 
 class DistributionCache:
@@ -263,18 +246,16 @@ def _sample_batch(
 
 
 class SerialBackend:
-    """Reference backend: one shot-simulator run per circuit, in order.
+    """Baseline backend: one shot-simulator run per circuit, in order.
 
     This is the seed repository's original execution path behind the batch
-    interface, and the only backend supporting the ``trajectory`` method.
+    interface.
     """
 
     name = "serial"
 
-    def __init__(self, method: str = "exact", kernel: str | None = None):
-        self.kernel = resolve_kernel(kernel)
-        self._simulator = ShotSimulator(method=method, kernel=self.kernel)
-        self.method = method
+    def __init__(self):
+        self._simulator = ShotSimulator()
 
     def run_batch(
         self,
@@ -294,7 +275,7 @@ class SerialBackend:
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
     ) -> list[dict[str, float]]:
-        simulator = DensityMatrixSimulator(kernel=self.kernel)
+        simulator = DensityMatrixSimulator()
         return [simulator.run(circuit).classical_distribution() for circuit in circuits]
 
 
@@ -311,10 +292,9 @@ class VectorizedBackend:
 
     name = "vectorized"
 
-    def __init__(self, cache: DistributionCache | None = None, kernel: str | None = None):
+    def __init__(self, cache: DistributionCache | None = None):
         self.cache = default_distribution_cache if cache is None else cache
-        self.kernel = resolve_kernel(kernel)
-        self._simulator = BatchedDensityMatrixSimulator(kernel=self.kernel)
+        self._simulator = BatchedDensityMatrixSimulator()
 
     def run_batch(
         self,
@@ -331,11 +311,9 @@ class VectorizedBackend:
     ) -> list[dict[str, float]]:
         results: list[dict[str, float] | None] = [None] * len(circuits)
         # Cache lookup; identical circuits inside the batch simulate only once.
-        # Keys are kernel-scoped so dense reference runs never poison (or
-        # reuse) entries computed by the default kernel.
         pending_by_key: dict[str, list[int]] = {}
         for index, circuit in enumerate(circuits):
-            key = kernel_cache_key(circuit_fingerprint(circuit), self.kernel)
+            key = circuit_fingerprint(circuit)
             cached = self.cache.get(key)
             if cached is not None:
                 results[index] = cached
@@ -358,22 +336,17 @@ class VectorizedBackend:
         return results  # type: ignore[return-value]
 
 
-def _pool_worker_distributions(
-    payload: tuple[list[QuantumCircuit], str],
-) -> list[dict[str, float]]:
+def _pool_worker_distributions(circuits: list[QuantumCircuit]) -> list[dict[str, float]]:
     """Worker entry point: exact distributions of one chunk (fresh local cache)."""
-    circuits, kernel = payload
-    return VectorizedBackend(cache=DistributionCache(), kernel=kernel).exact_distributions(circuits)
+    return VectorizedBackend(cache=DistributionCache()).exact_distributions(circuits)
 
 
 def _pool_worker_run(
-    payload: tuple[list[QuantumCircuit], list[int], list[np.random.SeedSequence], str],
+    payload: tuple[list[QuantumCircuit], list[int], list[np.random.SeedSequence]],
 ) -> list[Counts]:
     """Worker entry point: sample one chunk with pre-spawned per-circuit streams."""
-    circuits, shots, children, kernel = payload
-    return _sample_batch(
-        VectorizedBackend(cache=DistributionCache(), kernel=kernel), circuits, shots, children
-    )
+    circuits, shots, children = payload
+    return _sample_batch(VectorizedBackend(cache=DistributionCache()), circuits, shots, children)
 
 
 class ProcessPoolBackend:
@@ -402,7 +375,6 @@ class ProcessPoolBackend:
         self,
         max_workers: int | None = None,
         chunk_size: int | None = None,
-        kernel: str | None = None,
     ):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -410,7 +382,6 @@ class ProcessPoolBackend:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.kernel = resolve_kernel(kernel)
         #: Persistent cache of the in-process (single-chunk) path; stats
         #: accumulate across sweep points instead of resetting per call.
         self.cache = DistributionCache()
@@ -439,7 +410,7 @@ class ProcessPoolBackend:
             # consumed, so re-deriving children from it would break the
             # cross-backend determinism contract.
             return _sample_batch(
-                VectorizedBackend(cache=self.cache, kernel=self.kernel),
+                VectorizedBackend(cache=self.cache),
                 list(circuits),
                 [int(s) for s in shots],
                 children,
@@ -449,7 +420,6 @@ class ProcessPoolBackend:
                 [circuits[i] for i in chunk],
                 [int(shots[i]) for i in chunk],
                 [children[i] for i in chunk],
-                self.kernel,
             )
             for chunk in chunks
         ]
@@ -465,10 +435,8 @@ class ProcessPoolBackend:
     ) -> list[dict[str, float]]:
         chunks = self._chunks(len(circuits))
         if len(chunks) <= 1:
-            return VectorizedBackend(cache=self.cache, kernel=self.kernel).exact_distributions(
-                circuits
-            )
-        payloads = [([circuits[i] for i in chunk], self.kernel) for chunk in chunks]
+            return VectorizedBackend(cache=self.cache).exact_distributions(circuits)
+        payloads = [[circuits[i] for i in chunk] for chunk in chunks]
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             chunk_results = list(pool.map(_pool_worker_distributions, payloads))
         results: list[dict[str, float]] = []
@@ -477,53 +445,25 @@ class ProcessPoolBackend:
         return results
 
 
-def resolve_backend(
-    backend: SimulatorBackend | str | None,
-    method: str = "exact",
-    kernel: str | None = None,
-) -> SimulatorBackend:
+def resolve_backend(backend: SimulatorBackend | str | None) -> SimulatorBackend:
     """Return a backend instance for a name, an instance, or ``None`` (default).
 
-    ``None`` resolves to :class:`SerialBackend` with the requested shot-simulator
-    ``method``, preserving the pre-backend behaviour of the executor.  A
-    non-``exact`` method is only available serially, so asking any other
-    backend for it is an error.  Instances (including
+    ``None`` resolves to :class:`SerialBackend`, preserving the pre-backend
+    behaviour of the executor.  Instances (including
     :class:`~repro.devices.NoisyDeviceBackend` and
-    :class:`~repro.devices.DeviceFleet`) pass through unchanged; asking an
-    instance for a different simulation ``kernel`` than it was built with is
-    an error (construct the backend with ``kernel=`` instead).
+    :class:`~repro.devices.DeviceFleet`) pass through unchanged.
     """
     if backend is None:
-        return SerialBackend(method=method, kernel=kernel)
+        return SerialBackend()
     if not isinstance(backend, str):
-        if method != "exact":
-            if not isinstance(backend, SerialBackend):
-                raise SimulationError(
-                    f"method {method!r} requires the serial backend, got {type(backend).__name__}"
-                )
-            if backend.method != method:
-                raise SimulationError(
-                    f"method {method!r} was requested but the supplied SerialBackend "
-                    f"uses method {backend.method!r}"
-                )
-        if kernel is not None:
-            requested = resolve_kernel(kernel)
-            configured = getattr(backend, "kernel", None)
-            if configured is not None and configured != requested:
-                raise SimulationError(
-                    f"kernel {requested!r} was requested but the supplied "
-                    f"{type(backend).__name__} uses kernel {configured!r}"
-                )
         return backend
     name = backend.lower().replace("_", "-")
-    if name != "serial" and method != "exact":
-        raise SimulationError(f"method {method!r} requires the serial backend, got {name!r}")
     if name == "serial":
-        return SerialBackend(method=method, kernel=kernel)
+        return SerialBackend()
     if name == "vectorized":
-        return VectorizedBackend(kernel=kernel)
+        return VectorizedBackend()
     if name == "process-pool":
-        return ProcessPoolBackend(kernel=kernel)
+        return ProcessPoolBackend()
     raise SimulationError(
         f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
     )

@@ -11,16 +11,11 @@ every linear-algebra step broadcast over the batch axis.
 
 The per-slice arithmetic is kept operation-for-operation identical to
 :class:`~repro.circuits.density_matrix_simulator.DensityMatrixSimulator`
-*under the same kernel* (same operators, same Kraus accumulation order, same
-trace and pruning thresholds; the axis-local kernels are shared functions
-that broadcast over an optional batch axis), so the classical distributions
-produced for a batch of size 1 match the serial simulator bitwise; this is
-what lets the vectorized execution backend guarantee seed-identical results
-to the serial one.
-
-Like the serial simulator, the batched one accepts ``kernel="einsum"``
-(axis-local contraction, default) or ``kernel="dense"`` (legacy full-space
-operators) — see :mod:`repro.circuits.kernels`.
+(same operators, same trace and pruning thresholds; the axis-local kernels of
+:mod:`repro.circuits.kernels` are shared functions that broadcast over an
+optional batch axis), so the classical distributions produced for a batch of
+size 1 match the serial simulator bitwise; this is what lets the vectorized
+execution backend guarantee seed-identical results to the serial one.
 """
 
 from __future__ import annotations
@@ -32,11 +27,6 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.density_matrix_simulator import (
-    _local_initialize_kraus,
-    expanded_projectors,
-    expanded_reset_kraus,
-)
 from repro.circuits.instruction import BARRIER, GATE, INITIALIZE, MEASURE, RESET, Instruction
 from repro.circuits.kernels import (
     apply_initialize,
@@ -45,9 +35,7 @@ from repro.circuits.kernels import (
     prepare_operator,
     project_qubit,
     record_gate_application,
-    resolve_kernel,
 )
-from repro.utils.linalg import expand_operator
 
 __all__ = ["BatchedDensityMatrixSimulator", "structure_signature"]
 
@@ -79,39 +67,6 @@ def structure_signature(circuit: QuantumCircuit) -> tuple:
     return (circuit.num_qubits, circuit.num_clbits, ops)
 
 
-def _stack_expand(matrices: list[np.ndarray], qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Expand one small operator per batch element into a ``(batch, dim, dim)`` stack.
-
-    Vectorised counterpart of :func:`~repro.utils.linalg.expand_operator`: the
-    same tensor embedding is applied to the whole stack at once, and because
-    the embedding only places (multiplies by 0/1) the input entries, each
-    slice is bitwise identical to the serial expansion.
-    """
-    qubits = list(qubits)
-    k = len(qubits)
-    batch = len(matrices)
-    stack = np.ascontiguousarray(matrices, dtype=complex)
-    op_tensor = stack.reshape([batch] + [2] * (2 * k))
-    identity = np.eye(2 ** (num_qubits - k), dtype=complex)
-    id_tensor = identity.reshape([2] * (2 * (num_qubits - k)))
-    full = np.tensordot(op_tensor, id_tensor, axes=0)
-    # Axes of `full`: 0 = batch, then k row-axes for `qubits`, k col-axes for
-    # `qubits`, then (n-k) row-axes for the rest, (n-k) col-axes for the rest
-    # (mirroring expand_operator, shifted by the leading batch axis).
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    order = qubits + rest
-    row_axes = list(range(1, k + 1)) + list(range(2 * k + 1, 2 * k + 1 + (num_qubits - k)))
-    col_axes = list(range(k + 1, 2 * k + 1)) + list(
-        range(2 * k + 1 + (num_qubits - k), 2 * num_qubits + 1)
-    )
-    perm = np.argsort(order)
-    new_row_axes = [row_axes[p] for p in perm]
-    new_col_axes = [col_axes[p] for p in perm]
-    full = np.transpose(full, axes=[0] + new_row_axes + new_col_axes)
-    dim = 2**num_qubits
-    return np.ascontiguousarray(full.reshape(batch, dim, dim))
-
-
 def _all_equal(matrices: list[np.ndarray]) -> bool:
     first = matrices[0]
     return all(matrix is first or np.array_equal(matrix, first) for matrix in matrices[1:])
@@ -123,16 +78,7 @@ class BatchedDensityMatrixSimulator:
     All circuits handed to :meth:`run_group` must share the same
     :func:`structure_signature`; callers group arbitrary circuit batches with
     that key (see :class:`~repro.circuits.backends.VectorizedBackend`).
-
-    Parameters
-    ----------
-    kernel:
-        Gate-application kernel: ``"einsum"`` (axis-local, default) or
-        ``"dense"`` (legacy full-space operators).
     """
-
-    def __init__(self, kernel: str | None = None):
-        self.kernel = resolve_kernel(kernel)
 
     def run_group(self, circuits: Sequence[QuantumCircuit]) -> list[dict[str, float]]:
         """Execute structurally identical ``circuits`` and return per-circuit
@@ -174,26 +120,18 @@ class BatchedDensityMatrixSimulator:
 
     # -- instruction handlers ---------------------------------------------------
 
+    @staticmethod
     def _apply_gate(
-        self,
         branches: dict[tuple[int, ...], np.ndarray],
         template: Instruction,
         matrices: list[np.ndarray],
         num_qubits: int,
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubits = list(template.qubits)
-        shared = _all_equal(matrices)
-        if self.kernel == "einsum":
-            if shared:
-                operator = prepare_operator(matrices[0])
-            else:
-                operator = np.ascontiguousarray(matrices, dtype=complex)
-        elif shared:
-            unitary = expand_operator(matrices[0], qubits, num_qubits)
-            unitary_dag = unitary.conj().T
+        if _all_equal(matrices):
+            operator = prepare_operator(matrices[0])
         else:
-            unitary = _stack_expand(matrices, qubits, num_qubits)
-            unitary_dag = unitary.conj().transpose(0, 2, 1)
+            operator = np.ascontiguousarray(matrices, dtype=complex)
         updated: dict[tuple[int, ...], np.ndarray] = {}
         applications = 0
         start = time.perf_counter()
@@ -203,34 +141,23 @@ class BatchedDensityMatrixSimulator:
                 if clbits[clbit] != value:
                     updated[clbits] = stack
                     continue
-            if self.kernel == "einsum":
-                updated[clbits] = apply_unitary(stack, operator, qubits, num_qubits)
-            else:
-                updated[clbits] = unitary @ stack @ unitary_dag
+            updated[clbits] = apply_unitary(stack, operator, qubits, num_qubits)
             applications += stack.shape[0]
         if applications:
-            record_gate_application(
-                self.kernel, len(qubits), time.perf_counter() - start, count=applications
-            )
+            record_gate_application(len(qubits), time.perf_counter() - start, count=applications)
         return updated
 
+    @staticmethod
     def _apply_measure(
-        self,
         branches: dict[tuple[int, ...], np.ndarray],
         template: Instruction,
         num_qubits: int,
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubit = template.qubits[0]
         clbit = template.clbits[0]
-        if self.kernel == "dense":
-            p0, p1 = expanded_projectors(qubit, num_qubits)
         updated: dict[tuple[int, ...], np.ndarray] = {}
         for clbits, stack in branches.items():
-            if self.kernel == "einsum":
-                pieces = project_qubit(stack, qubit, num_qubits)
-            else:
-                pieces = (p0 @ stack @ p0, p1 @ stack @ p1)
-            for outcome, piece in enumerate(pieces):
+            for outcome, piece in enumerate(project_qubit(stack, qubit, num_qubits)):
                 traces = np.trace(piece, axis1=1, axis2=2).real
                 dead = traces <= _PRUNE_MEASURE
                 if np.all(dead):
@@ -250,28 +177,19 @@ class BatchedDensityMatrixSimulator:
                     updated[key] = piece
         return updated
 
+    @staticmethod
     def _apply_reset(
-        self,
         branches: dict[tuple[int, ...], np.ndarray],
         template: Instruction,
         num_qubits: int,
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubit = template.qubits[0]
-        if self.kernel == "einsum":
-            return {
-                clbits: apply_reset(stack, qubit, num_qubits)
-                for clbits, stack in branches.items()
-            }
-        k0, k1 = expanded_reset_kraus(qubit, num_qubits)
-        k0_dag = k0.conj().T
-        k1_dag = k1.conj().T
         return {
-            clbits: k0 @ stack @ k0_dag + k1 @ stack @ k1_dag
-            for clbits, stack in branches.items()
+            clbits: apply_reset(stack, qubit, num_qubits) for clbits, stack in branches.items()
         }
 
+    @staticmethod
     def _apply_initialize(
-        self,
         branches: dict[tuple[int, ...], np.ndarray],
         template: Instruction,
         matrices: list[np.ndarray],
@@ -279,37 +197,14 @@ class BatchedDensityMatrixSimulator:
     ) -> dict[tuple[int, ...], np.ndarray]:
         qubits = list(template.qubits)
         targets = [np.asarray(matrix, dtype=complex).ravel() for matrix in matrices]
-        shared = _all_equal(targets)
-        if self.kernel == "einsum":
-            # A shared target broadcasts; distinct targets stack along the
-            # batch axis.  Either way the block arithmetic matches the serial
-            # kernel slice for slice.
-            payload = targets[0] if shared else np.ascontiguousarray(targets)
-            return {
-                clbits: apply_initialize(stack, payload, qubits, num_qubits)
-                for clbits, stack in branches.items()
-            }
-        dim_sub = 2 ** len(qubits)
-        # One Kraus operator |target><j| per subsystem basis state j, expanded
-        # and accumulated in the same order as the serial simulator.
-        local_families = [
-            _local_initialize_kraus(target) for target in (targets[:1] if shared else targets)
-        ]
-        kraus: list[np.ndarray] = []
-        for j in range(dim_sub):
-            if shared:
-                kraus.append(expand_operator(local_families[0][j], qubits, num_qubits))
-            else:
-                kraus.append(_stack_expand([family[j] for family in local_families], qubits, num_qubits))
-        updated: dict[tuple[int, ...], np.ndarray] = {}
-        for clbits, stack in branches.items():
-            total = None
-            for k in kraus:
-                k_dag = k.conj().T if k.ndim == 2 else k.conj().transpose(0, 2, 1)
-                piece = k @ stack @ k_dag
-                total = piece if total is None else total + piece
-            updated[clbits] = total
-        return updated
+        # A shared target broadcasts; distinct targets stack along the batch
+        # axis.  Either way the block arithmetic matches the serial kernel
+        # slice for slice.
+        payload = targets[0] if _all_equal(targets) else np.ascontiguousarray(targets)
+        return {
+            clbits: apply_initialize(stack, payload, qubits, num_qubits)
+            for clbits, stack in branches.items()
+        }
 
     # -- result assembly --------------------------------------------------------
 

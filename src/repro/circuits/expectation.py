@@ -70,7 +70,6 @@ def sampled_pauli_expectation(
     shots: int,
     qubits: Sequence[int] | None = None,
     seed: SeedLike = None,
-    method: str = "exact",
     initial_state: Statevector | np.ndarray | None = None,
 ) -> float:
     """Estimate a Pauli expectation value of the circuit output by sampling.
@@ -107,7 +106,7 @@ def sampled_pauli_expectation(
         clbit = clbit_offset + position
         measured.measure(qubit, clbit)
         observable_clbits.append(clbit)
-    counts: Counts = ShotSimulator(method=method).run(
+    counts: Counts = ShotSimulator().run(
         measured, shots=shots, seed=seed, initial_state=initial_state
     )
     return counts.expectation_z(observable_clbits)

@@ -1,17 +1,16 @@
 """Axis-local simulation kernels: gate application without full-space operators.
 
-Historically every simulator in the stack applied a k-qubit gate by embedding
-it into a full ``2^n × 2^n`` operator (:func:`~repro.utils.linalg.expand_operator`)
-and doing dense full-space matmuls — O(8^n) per gate on a density matrix.
-The kernels in this module instead reshape the state into a rank-``n`` (or
-rank-``2n``) tensor of 2-dimensional axes and contract each gate against its
-*target axes only*:
+The simulators never embed a k-qubit gate into a full ``2^n × 2^n``
+operator.  They view the state as a rank-``n`` (statevector) or rank-``2n``
+(density matrix) tensor of 2-dimensional axes and contract each gate against
+its *target axes only*:
 
 * a unitary on a statevector is one ``(2^k × 2^k) @ (2^k × 2^{n-k})`` matmul,
 * a unitary on a density matrix is two such matmuls (left multiply on the ket
-  axes, conjugate right multiply on the bra axes) — O(4^n · 2^k) per gate,
+  axes, conjugate right multiply on the bra axes) — O(4^n · 2^k) per gate
+  instead of the O(8^n) full-space sandwich,
 * a Kraus channel is the same contraction per Kraus operator, accumulated in
-  the dense path's order,
+  order,
 * measurement/reset/initialise move *blocks* of the state tensor instead of
   sandwiching full-space projectors, which makes them pure memory traffic.
 
@@ -19,14 +18,9 @@ All density-matrix kernels accept an optional leading batch axis (shape
 ``(batch, dim, dim)``), so the serial and vectorized simulators share one
 code path and stay bitwise identical per slice.
 
-Two kernels are exposed through every simulator and backend seam:
-
-``einsum`` (default)
-    The axis-local contractions above.
-
-``dense``
-    The legacy full-space-operator path, kept verbatim as the reference
-    implementation and escape hatch (``kernel="dense"``).
+The full-space arithmetic these kernels replace lives on only as a test
+reference (``tests/reference/dense.py``), which the test suite checks every
+kernel against.
 
 Prepared-operator cache
 -----------------------
@@ -43,11 +37,10 @@ Telemetry
 ---------
 
 :func:`record_gate_application` feeds two instruments on the process-global
-metrics registry — a dispatch counter labelled by ``(kernel, arity)`` and a
-per-gate-application latency histogram labelled by ``kernel`` — giving
-``GET /metrics`` a live view of which kernels run and what each application
-costs.  Purely additive observability: results are bitwise identical with
-telemetry on or off.
+metrics registry — a dispatch counter labelled by gate ``arity`` and a
+per-gate-application latency histogram — giving ``GET /metrics`` a live view
+of how many gates run and what each application costs.  Purely additive
+observability: results are bitwise identical with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -63,9 +56,6 @@ from repro.exceptions import SimulationError
 from repro.telemetry.metrics import REGISTRY
 
 __all__ = [
-    "KERNEL_NAMES",
-    "DEFAULT_KERNEL",
-    "resolve_kernel",
     "matrix_fingerprint",
     "PreparedOperator",
     "prepare_operator",
@@ -80,12 +70,6 @@ __all__ = [
     "record_gate_application",
 ]
 
-#: Kernel names accepted by every simulator/backend ``kernel=`` parameter.
-KERNEL_NAMES = ("einsum", "dense")
-
-#: The kernel used when none is requested explicitly.
-DEFAULT_KERNEL = "einsum"
-
 #: Capacity of the prepared-operator LRU (distinct (matrix, arity) payloads).
 _PREPARED_CACHE_MAXSIZE = 1024
 
@@ -94,8 +78,8 @@ _PREPARED_CACHE_MAXSIZE = 1024
 #: workload report the same totals).
 _GATE_DISPATCH = REGISTRY.counter(
     "repro_kernel_gate_applications_total",
-    "Gate applications by simulation kernel and gate arity.",
-    labelnames=("kernel", "arity"),
+    "Gate applications by gate arity.",
+    labelnames=("arity",),
 )
 
 #: Per-gate-application wall time.  Buckets reach down to 10 µs because an
@@ -103,29 +87,16 @@ _GATE_DISPATCH = REGISTRY.counter(
 #: milliseconds of the HTTP-latency default buckets.
 _GATE_SECONDS = REGISTRY.histogram(
     "repro_kernel_gate_seconds",
-    "Wall-clock seconds per gate application, by simulation kernel.",
-    labelnames=("kernel",),
+    "Wall-clock seconds per gate application.",
     buckets=(1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
              1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0),
 )
 
 
-def resolve_kernel(kernel: str | None) -> str:
-    """Return a validated kernel name, defaulting to :data:`DEFAULT_KERNEL`."""
-    if kernel is None:
-        return DEFAULT_KERNEL
-    name = str(kernel).lower()
-    if name not in KERNEL_NAMES:
-        raise SimulationError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_NAMES}"
-        )
-    return name
-
-
-def record_gate_application(kernel: str, arity: int, seconds: float, count: int = 1) -> None:
-    """Record ``count`` gate applications taking ``seconds`` total on ``kernel``."""
-    _GATE_DISPATCH.inc(count, kernel=kernel, arity=str(arity))
-    _GATE_SECONDS.observe(seconds, kernel=kernel)
+def record_gate_application(arity: int, seconds: float, count: int = 1) -> None:
+    """Record ``count`` gate applications of ``arity`` taking ``seconds`` total."""
+    _GATE_DISPATCH.inc(count, arity=str(arity))
+    _GATE_SECONDS.observe(seconds)
 
 
 # -- prepared operators ------------------------------------------------------------
@@ -329,8 +300,7 @@ def apply_kraus(
 ) -> np.ndarray:
     """Return ``Σ_i K_i ρ K_i†`` contracted on the target axes only.
 
-    The Kraus terms are accumulated sequentially in the given order, matching
-    the dense reference path's accumulation.
+    The Kraus terms are accumulated sequentially in the given order.
     """
     total: np.ndarray | None = None
     for operator in operators:

@@ -1,22 +1,12 @@
 """Shot-based circuit sampling — the Qiskit Aer replacement.
 
-Two execution methods are provided:
-
-``exact`` (default)
-    The circuit is executed once, exactly, with the branching density-matrix
-    simulator; the exact probability distribution over classical-register
-    values is then sampled with a multinomial draw.  This is statistically
-    identical to running independent shots (each shot is an i.i.d. draw from
-    the same outcome distribution) but costs one exact simulation per
-    circuit instead of one trajectory per shot — the vectorised-over-shots
-    strategy recommended by the HPC guidance.
-
-``trajectory``
-    Every shot is simulated as an independent statevector trajectory with
-    real mid-circuit collapse, classical feed-forward, reset and initialise.
-    Slower, but makes no structural assumptions; used by tests to validate
-    the ``exact`` method and available for workloads where per-shot state
-    evolution matters.
+The circuit is executed once, exactly, with the branching density-matrix
+simulator; the exact probability distribution over classical-register values
+is then sampled with a multinomial draw.  This is statistically identical to
+running independent shots (each shot is an i.i.d. draw from the same outcome
+distribution, feed-forward, reset and initialise included) but costs one
+exact simulation per circuit instead of one state evolution per shot — the
+vectorised-over-shots strategy recommended by the HPC guidance.
 """
 
 from __future__ import annotations
@@ -27,40 +17,14 @@ from repro.exceptions import SimulationError
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.instruction import BARRIER, GATE, INITIALIZE, MEASURE, RESET
-from repro.circuits.kernels import resolve_kernel
 from repro.quantum.states import Statevector
 from repro.utils.rng import SeedLike, as_generator
 
 __all__ = ["ShotSimulator", "run_and_sample"]
 
 
-def _preparation_unitary(target: np.ndarray) -> np.ndarray:
-    """Return a unitary whose first column is ``target`` (maps ``|0..0⟩`` to it)."""
-    target = np.asarray(target, dtype=complex).ravel()
-    dim = target.shape[0]
-    # Complete `target` to an orthonormal basis with a QR decomposition of a
-    # matrix whose first column is the target vector.
-    matrix = np.eye(dim, dtype=complex)
-    matrix[:, 0] = target
-    q, _ = np.linalg.qr(matrix)
-    # QR may flip the phase of the first column; correct it so q[:,0] == target.
-    phase = np.vdot(q[:, 0], target)
-    q[:, 0] = q[:, 0] * (phase / abs(phase)) if abs(phase) > 1e-12 else target
-    # Re-orthonormalise defensively (numerically q is already unitary).
-    return q
-
-
 class ShotSimulator:
     """Samples measurement outcomes of circuits containing measurements."""
-
-    def __init__(self, method: str = "exact", kernel: str | None = None):
-        if method not in {"exact", "trajectory"}:
-            raise SimulationError(f"unknown method {method!r}; use 'exact' or 'trajectory'")
-        self.method = method
-        #: Simulation kernel forwarded to the exact density-matrix run (the
-        #: trajectory method contracts axis-locally regardless).
-        self.kernel = resolve_kernel(kernel)
 
     def run(
         self,
@@ -81,128 +45,20 @@ class ShotSimulator:
         if shots == 0:
             return Counts({}, num_clbits=circuit.num_clbits)
         rng = as_generator(seed)
-        if self.method == "exact":
-            return self._run_exact(circuit, shots, rng, initial_state)
-        return self._run_trajectories(circuit, shots, rng, initial_state)
-
-    # -- exact sampling -----------------------------------------------------------
-
-    def _run_exact(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        rng: np.random.Generator,
-        initial_state: Statevector | np.ndarray | None,
-    ) -> Counts:
-        result = DensityMatrixSimulator(kernel=self.kernel).run(circuit, initial_state)
-        distribution = result.classical_distribution()
+        result = DensityMatrixSimulator().run(circuit, initial_state)
         return Counts.from_probabilities(
-            distribution, shots=shots, num_clbits=circuit.num_clbits, seed=rng
+            result.classical_distribution(),
+            shots=shots,
+            num_clbits=circuit.num_clbits,
+            seed=rng,
         )
-
-    # -- trajectory sampling ---------------------------------------------------------
-
-    def _run_trajectories(
-        self,
-        circuit: QuantumCircuit,
-        shots: int,
-        rng: np.random.Generator,
-        initial_state: Statevector | np.ndarray | None,
-    ) -> Counts:
-        counts: dict[str, int] = {}
-        for _ in range(shots):
-            clbits = self._run_single_trajectory(circuit, rng, initial_state)
-            key = "".join(str(b) for b in clbits)
-            counts[key] = counts.get(key, 0) + 1
-        return Counts(counts, num_clbits=circuit.num_clbits)
-
-    def _run_single_trajectory(
-        self,
-        circuit: QuantumCircuit,
-        rng: np.random.Generator,
-        initial_state: Statevector | np.ndarray | None,
-    ) -> list[int]:
-        num_qubits = circuit.num_qubits
-        if initial_state is None:
-            state = Statevector.zero_state(num_qubits)
-        else:
-            state = (
-                initial_state
-                if isinstance(initial_state, Statevector)
-                else Statevector(initial_state)
-            )
-            if state.num_qubits != num_qubits:
-                raise SimulationError(
-                    f"initial state has {state.num_qubits} qubits, circuit has {num_qubits}"
-                )
-        clbits = [0] * circuit.num_clbits
-
-        for instruction in circuit.instructions:
-            if instruction.kind == BARRIER:
-                continue
-            if instruction.condition is not None:
-                clbit, value = instruction.condition
-                if clbits[clbit] != value:
-                    continue
-            if instruction.kind == GATE:
-                state = state.evolve(instruction.matrix, instruction.qubits)
-            elif instruction.kind == MEASURE:
-                outcome, state = self._measure_qubit(state, instruction.qubits[0], rng)
-                clbits[instruction.clbits[0]] = outcome
-            elif instruction.kind == RESET:
-                outcome, state = self._measure_qubit(state, instruction.qubits[0], rng)
-                if outcome == 1:
-                    state = state.evolve(np.array([[0, 1], [1, 0]], dtype=complex), [instruction.qubits[0]])
-            elif instruction.kind == INITIALIZE:
-                state = self._initialize(state, instruction, rng)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(f"unsupported instruction kind {instruction.kind!r}")
-        return clbits
-
-    @staticmethod
-    def _measure_qubit(
-        state: Statevector, qubit: int, rng: np.random.Generator
-    ) -> tuple[int, Statevector]:
-        """Sample a computational-basis measurement of one qubit and collapse."""
-        num_qubits = state.num_qubits
-        tensor = state.data.reshape([2] * num_qubits)
-        # Probability of outcome 1: sum of |amplitudes|² where the qubit index is 1.
-        amplitudes_one = np.take(tensor, 1, axis=qubit)
-        p_one = float(np.sum(np.abs(amplitudes_one) ** 2))
-        outcome = 1 if rng.random() < p_one else 0
-        probability = p_one if outcome == 1 else 1.0 - p_one
-        if probability <= 0:
-            # Numerically impossible branch; keep the state unchanged.
-            return outcome, state
-        collapsed = np.zeros_like(tensor)
-        index = [slice(None)] * num_qubits
-        index[qubit] = outcome
-        collapsed[tuple(index)] = np.take(tensor, outcome, axis=qubit)
-        collapsed = collapsed / np.sqrt(probability)
-        return outcome, Statevector(collapsed.reshape(-1), validate=False)
-
-    def _initialize(
-        self, state: Statevector, instruction, rng: np.random.Generator
-    ) -> Statevector:
-        """Reset the target qubits and prepare the requested pure state on them."""
-        x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-        for qubit in instruction.qubits:
-            outcome, state = self._measure_qubit(state, qubit, rng)
-            if outcome == 1:
-                state = state.evolve(x_gate, [qubit])
-        preparation = _preparation_unitary(instruction.matrix)
-        return state.evolve(preparation, instruction.qubits)
 
 
 def run_and_sample(
     circuit: QuantumCircuit,
     shots: int,
     seed: SeedLike = None,
-    method: str = "exact",
     initial_state: Statevector | np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> Counts:
     """Convenience wrapper: sample ``circuit`` with a fresh :class:`ShotSimulator`."""
-    return ShotSimulator(method=method, kernel=kernel).run(
-        circuit, shots, seed=seed, initial_state=initial_state
-    )
+    return ShotSimulator().run(circuit, shots, seed=seed, initial_state=initial_state)

@@ -235,7 +235,6 @@ def estimate_cut_expectation(
     shots: int = 1000,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
     backend: SimulatorBackend | str | None = None,
     mode: str = "static",
@@ -268,8 +267,6 @@ def estimate_cut_expectation(
         Seed or generator for all sampling.  Static mode consumes it
         exactly as before this parameterisation (bitwise-identical
         results); adaptive mode derives one child stream per round.
-    method:
-        Shot-simulator method (``exact`` or ``trajectory``; serial backend only).
     compute_exact:
         Also compute the exact uncut value for error reporting.
     backend:
@@ -301,7 +298,7 @@ def estimate_cut_expectation(
     pauli = _as_pauli(observable, circuit.num_qubits)
     decomposition = protocol.decomposition()
     term_circuits = build_cut_circuits(circuit, location, protocol)
-    exec_backend = resolve_backend(backend, method=method)
+    exec_backend = resolve_backend(backend)
     measured_circuits: list[QuantumCircuit] = []
     selected_clbits: list[list[int]] = []
     for term_circuit in term_circuits:
@@ -812,7 +809,6 @@ def cut_expectation_value(
     observable: str | PauliString = "Z",
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     backend: SimulatorBackend | str | None = None,
 ) -> CutExpectationResult:
     """Estimate ``⟨O⟩`` of a single-qubit ``state`` transmitted through a cut wire.
@@ -831,6 +827,5 @@ def cut_expectation_value(
         shots=shots,
         allocation=allocation,
         seed=seed,
-        method=method,
         backend=backend,
     )

@@ -354,7 +354,6 @@ def estimate_gate_cut_expectation(
     shots: int,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
 ):
     """Estimate a Pauli observable of ``circuit`` with the gate at ``gate_index`` cut.
@@ -372,7 +371,7 @@ def estimate_gate_cut_expectation(
     decomposition = protocol.decomposition()
     shots_per_term = allocate_shots(decomposition.probabilities, shots, strategy=allocation, seed=rng)
     term_circuits = build_gate_cut_circuits(circuit, gate_index, protocol)
-    simulator = ShotSimulator(method=method)
+    simulator = ShotSimulator()
 
     term_estimates = []
     for term_circuit, term_shots in zip(term_circuits, shots_per_term):

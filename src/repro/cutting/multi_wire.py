@@ -273,7 +273,6 @@ def execute_term_circuits(
     allocation: str = "proportional",
     seed: SeedLike = None,
     backend: SimulatorBackend | str | None = None,
-    method: str = "exact",
 ) -> tuple[list[TermEstimate], list[int]]:
     """Allocate, measure, batch-run and summarise a product term set.
 
@@ -298,8 +297,6 @@ def execute_term_circuits(
         Seed or generator for allocation and sampling.
     backend:
         Execution backend (name or instance); ``None`` selects serial.
-    method:
-        Shot-simulator method (serial backend only).
 
     Returns
     -------
@@ -312,7 +309,7 @@ def execute_term_circuits(
     probabilities = magnitudes / magnitudes.sum()
     shots_per_term = allocate_shots(probabilities, shots, strategy=allocation, seed=rng)
 
-    exec_backend = resolve_backend(backend, method=method)
+    exec_backend = resolve_backend(backend)
     measured_circuits: list[QuantumCircuit] = []
     selected_clbits: list[list[int]] = []
     for term_circuit in term_circuits:
@@ -356,7 +353,6 @@ def execute_term_circuits_adaptive(
     config: AdaptiveConfig,
     seed: SeedLike = None,
     backend: SimulatorBackend | str | None = None,
-    method: str = "exact",
     completed_rounds: Sequence[RoundRecord] = (),
     on_round=None,
     execution: str = "inprocess",
@@ -387,8 +383,6 @@ def execute_term_circuits_adaptive(
         child sequence.
     backend:
         Execution backend (name or instance); ``None`` selects serial.
-    method:
-        Shot-simulator method (serial backend only).
     completed_rounds:
         Rounds persisted by an interrupted run; replayed into the running
         statistics without re-execution (crash resume is bitwise
@@ -410,7 +404,7 @@ def execute_term_circuits_adaptive(
         Per-term summaries with running statistics, total shots per term,
         and the engine result (round records + convergence).
     """
-    exec_backend = resolve_backend(backend, method=method)
+    exec_backend = resolve_backend(backend)
     measured_circuits: list[QuantumCircuit] = []
     selected_clbits: list[list[int]] = []
     for term_circuit in term_circuits:
@@ -442,7 +436,6 @@ def estimate_multi_cut_expectation(
     shots: int,
     allocation: str = "proportional",
     seed: SeedLike = None,
-    method: str = "exact",
     compute_exact: bool = True,
     backend: SimulatorBackend | str | None = None,
     mode: str = "static",
@@ -480,9 +473,6 @@ def estimate_multi_cut_expectation(
         Seed or generator for all sampling.  Static mode consumes it
         exactly as before (bitwise-identical results); adaptive mode
         derives one child stream per round.
-    method:
-        Shot-simulator method (``exact`` or ``trajectory``; serial backend
-        only).
     compute_exact:
         Also compute the exact uncut value for error reporting.
     backend:
@@ -534,7 +524,6 @@ def estimate_multi_cut_expectation(
             config,
             seed=seed,
             backend=backend,
-            method=method,
             execution=execution,
             workers=workers,
         )
@@ -546,7 +535,6 @@ def estimate_multi_cut_expectation(
         allocation=allocation,
         seed=seed,
         backend=backend,
-        method=method,
     )
     estimate = combine_term_estimates(term_estimates)
     return CutExpectationResult(

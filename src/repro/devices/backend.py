@@ -41,10 +41,8 @@ from repro.circuits.backends import (
     _sample_batch,
     circuit_fingerprint,
     default_distribution_cache,
-    kernel_cache_key,
     resolve_backend,
 )
-from repro.circuits.kernels import resolve_kernel
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
@@ -79,10 +77,6 @@ class NoisyDeviceBackend:
         Distribution cache for noisy results; defaults to the process-wide
         :data:`~repro.circuits.backends.default_distribution_cache` (safe,
         because noisy keys embed the noise fingerprint).
-    kernel:
-        Simulation kernel for the gate-noise density-matrix path, forwarded
-        to the inner backend when that is given by name (``"einsum"``
-        default / ``"dense"`` reference — see :mod:`repro.circuits.kernels`).
 
     Examples
     --------
@@ -97,13 +91,11 @@ class NoisyDeviceBackend:
         noise: NoiseModel,
         inner: SimulatorBackend | str | None = None,
         cache: DistributionCache | None = None,
-        kernel: str | None = None,
     ):
         if not isinstance(noise, NoiseModel):
             raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
         self.noise = noise
-        self.kernel = resolve_kernel(kernel)
-        self.inner = resolve_backend("vectorized" if inner is None else inner, kernel=kernel)
+        self.inner = resolve_backend("vectorized" if inner is None else inner)
         self.cache = default_distribution_cache if cache is None else cache
         self.name = f"noisy({self.inner.name})"
 
@@ -135,7 +127,7 @@ class NoisyDeviceBackend:
         results: list[dict[str, float] | None] = [None] * len(circuits)
         pending_by_key: dict[str, list[int]] = {}
         for index, circuit in enumerate(circuits):
-            key = kernel_cache_key(noisy_cache_key(circuit, self.noise), self.kernel)
+            key = noisy_cache_key(circuit, self.noise)
             cached = self.cache.get(key)
             if cached is not None:
                 results[index] = cached
@@ -145,9 +137,7 @@ class NoisyDeviceBackend:
         if pending_by_key:
             unique = [(key, circuits[indices[0]]) for key, indices in pending_by_key.items()]
             if self.noise.has_gate_noise:
-                simulator = DensityMatrixSimulator(
-                    gate_noise=self.noise.gate_noise_hook, kernel=self.kernel
-                )
+                simulator = DensityMatrixSimulator(gate_noise=self.noise.gate_noise_hook)
                 ideal_or_gate_noisy = [
                     simulator.run(circuit).classical_distribution() for _, circuit in unique
                 ]

@@ -155,9 +155,13 @@ def _worker_main(
 ) -> None:
     """Worker process loop: pull a unit from the inbox, execute, report.
 
-    ``None`` on the inbox is the shutdown sentinel.  Failures are reported
-    as ``("error", worker, key, message)`` so the coordinator can retry the
-    unit elsewhere instead of losing the round.
+    ``None`` on the inbox is the shutdown sentinel.  A result is reported as
+    ``("ok", worker, result, counts)``, where ``counts`` holds the registry
+    counter increments the unit made in this process (gate applications,
+    distribution-cache hits and misses), so the coordinator's registry sees
+    them.  Failures are reported as ``("error", worker, key, message)`` so
+    the coordinator can retry the unit elsewhere instead of losing the
+    round.
     """
     while True:
         unit = inbox.get()
@@ -166,15 +170,21 @@ def _worker_main(
         try:
             if latency > 0.0:
                 time.sleep(latency)
+            before = REGISTRY.counter_samples()
             result = execute_unit(
                 backend, circuits, selected_clbits, unit, worker=worker_name
             )
+            counts = {
+                key: value - before.get(key, 0.0)
+                for key, value in REGISTRY.counter_samples().items()
+                if value != before.get(key, 0.0)
+            }
         except Exception as error:  # ship the failure, never kill the loop
             results.put(
                 ("error", worker_name, unit.key, f"{type(error).__name__}: {error}")
             )
         else:
-            results.put(("ok", worker_name, result))
+            results.put(("ok", worker_name, result, counts))
 
 
 @dataclass
@@ -468,7 +478,9 @@ class WorkerPool:
         kind, worker_name, *payload = message
         handle = next(h for h in self._handles if h.name == worker_name)
         if kind == "ok":
-            (result,) = payload
+            result, counts = payload
+            # The worker's work happened whether or not its result is kept.
+            REGISTRY.add_counter_samples(counts)
             handle.in_flight = None
             # De-duplicate by key: a worker killed right after reporting may
             # have had its unit conservatively re-executed elsewhere; both

@@ -20,7 +20,7 @@ modules can declare their instruments at import time without coordination.
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.exceptions import ReproError
 
@@ -266,6 +266,28 @@ class MetricsRegistry:
         """Return a registered instrument by name, or ``None``."""
         with self._lock:
             return self._instruments.get(name)
+
+    def counter_samples(self) -> dict[tuple[str, tuple[str, ...]], float]:
+        """Return every counter sample as ``{(name, labelvalues): value}``.
+
+        Two snapshots taken around a piece of work in another process give
+        the increments that work made; :meth:`add_counter_samples` folds
+        them into this process's counters.
+        """
+        with self._lock:
+            counters = [i for i in self._instruments.values() if isinstance(i, Counter)]
+        return {
+            (counter.name, labelvalues): value
+            for counter in counters
+            for labelvalues, value in counter.samples()
+        }
+
+    def add_counter_samples(self, increments: Mapping[tuple[str, tuple[str, ...]], float]) -> None:
+        """Add ``{(name, labelvalues): amount}`` increments to the registered counters."""
+        for (name, labelvalues), amount in increments.items():
+            counter = self.get(name)
+            if isinstance(counter, Counter):
+                counter.inc(amount, **dict(zip(counter.labelnames, labelvalues)))
 
     def render(self) -> str:
         """Render every instrument in the Prometheus text exposition format."""

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.circuits import kernels
+from repro.circuits import batched_simulator, density_matrix_simulator, statevector_simulator
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.density_matrix_simulator import (
-    DensityMatrixSimulator,
-    expanded_projectors,
-    expanded_reset_kraus,
-    _local_initialize_kraus,
-)
+from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.circuits.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_NAMES,
     PreparedOperator,
     apply_initialize,
     apply_kraus,
@@ -25,12 +18,17 @@ from repro.circuits.kernels import (
     prepare_operator,
     prepared_cache_info,
     project_qubit,
-    resolve_kernel,
 )
 from repro.exceptions import SimulationError
 from repro.quantum.states import Statevector
 from repro.telemetry.metrics import REGISTRY
 from repro.utils.linalg import expand_operator
+from tests.reference.dense import (
+    DenseDensityMatrixSimulator,
+    local_initialize_kraus,
+    projectors,
+    reset_kraus,
+)
 
 
 def random_density(num_qubits: int, seed: int = 0) -> np.ndarray:
@@ -48,20 +46,6 @@ def random_unitary(k: int, seed: int = 0) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(a)
     return q
-
-
-class TestResolveKernel:
-    def test_default(self):
-        assert resolve_kernel(None) == DEFAULT_KERNEL == "einsum"
-
-    @pytest.mark.parametrize("name", KERNEL_NAMES)
-    def test_valid_names(self, name):
-        assert resolve_kernel(name) == name
-        assert resolve_kernel(name.upper()) == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(SimulationError, match="unknown kernel"):
-            resolve_kernel("sparse")
 
 
 class TestPreparedOperatorCache:
@@ -177,7 +161,7 @@ class TestProjectAndReset:
     @pytest.mark.parametrize("num_qubits,qubit", [(1, 0), (3, 0), (3, 1), (3, 2)])
     def test_project_bitwise_matches_dense(self, num_qubits, qubit):
         rho = random_density(num_qubits, seed=9)
-        p0, p1 = expanded_projectors(qubit, num_qubits)
+        p0, p1 = projectors(qubit, num_qubits)
         piece0, piece1 = project_qubit(rho, qubit, num_qubits)
         np.testing.assert_array_equal(piece0, p0 @ rho @ p0)
         np.testing.assert_array_equal(piece1, p1 @ rho @ p1)
@@ -185,7 +169,7 @@ class TestProjectAndReset:
     @pytest.mark.parametrize("num_qubits,qubit", [(1, 0), (3, 0), (3, 1), (3, 2)])
     def test_reset_bitwise_matches_dense(self, num_qubits, qubit):
         rho = random_density(num_qubits, seed=10)
-        k0, k1 = expanded_reset_kraus(qubit, num_qubits)
+        k0, k1 = reset_kraus(qubit, num_qubits)
         expected = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
         np.testing.assert_array_equal(apply_reset(rho, qubit, num_qubits), expected)
 
@@ -208,7 +192,7 @@ class TestApplyInitialize:
         target = rng.normal(size=2 ** len(qubits)) + 1j * rng.normal(size=2 ** len(qubits))
         target = target / np.linalg.norm(target)
         kraus_full = [
-            expand_operator(k, qubits, num_qubits) for k in _local_initialize_kraus(target)
+            expand_operator(k, qubits, num_qubits) for k in local_initialize_kraus(target)
         ]
         expected = sum(k @ rho @ k.conj().T for k in kraus_full)
         result = apply_initialize(rho, target, qubits, num_qubits)
@@ -242,41 +226,21 @@ class TestStatevectorKernel:
 
 
 class TestMeasurementExpansionCache:
-    """Regression: repeated mid-circuit measurement must not re-expand."""
-
-    def test_repeated_measurement_hits_projector_cache(self):
-        circuit = QuantumCircuit(3, 3)
-        circuit.h(0)
-        for _ in range(8):
-            circuit.measure(0, 0)
-            circuit.measure(1, 1)
-        before = expanded_projectors.cache_info()
-        DensityMatrixSimulator(kernel="dense").run(circuit)
-        after = expanded_projectors.cache_info()
-        # 16 measure instructions touched only two (qubit, num_qubits) pairs.
-        assert after.misses - before.misses <= 2
-        assert after.hits > before.hits
-
-    def test_repeated_reset_hits_kraus_cache(self):
-        circuit = QuantumCircuit(2, 0)
-        circuit.h(0)
-        for _ in range(6):
-            circuit.reset(0)
-        before = expanded_reset_kraus.cache_info()
-        DensityMatrixSimulator(kernel="dense").run(circuit)
-        after = expanded_reset_kraus.cache_info()
-        assert after.misses - before.misses <= 1
+    """Regression: mid-circuit measurement must not build full-space projectors."""
 
     def test_einsum_measurement_builds_no_projectors(self):
+        # No simulator module holds the full-space embedding at all ...
+        for module in (density_matrix_simulator, batched_simulator, statevector_simulator):
+            assert not hasattr(module, "expand_operator"), module.__name__
+        # ... and repeated measurement still matches the full-space reference.
         circuit = QuantumCircuit(2, 2)
         circuit.h(0)
-        circuit.measure(0, 0)
-        circuit.measure(1, 1)
-        before = expanded_projectors.cache_info()
-        DensityMatrixSimulator(kernel="einsum").run(circuit)
-        after = expanded_projectors.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits
+        for _ in range(4):
+            circuit.measure(0, 0)
+            circuit.measure(1, 1)
+        got = DensityMatrixSimulator().run(circuit).classical_distribution()
+        expected = DenseDensityMatrixSimulator().run(circuit).classical_distribution()
+        assert got == expected
 
 
 class TestLocalInitializeKraus:
@@ -285,7 +249,7 @@ class TestLocalInitializeKraus:
         target = rng.normal(size=4) + 1j * rng.normal(size=4)
         target = target / np.linalg.norm(target)
         basis = np.eye(4)
-        for j, kraus in enumerate(_local_initialize_kraus(target)):
+        for j, kraus in enumerate(local_initialize_kraus(target)):
             np.testing.assert_array_equal(kraus, np.outer(target, basis[j]))
 
 
@@ -294,11 +258,11 @@ class TestKernelTelemetry:
         circuit = QuantumCircuit(2, 0)
         circuit.h(0)
         circuit.cx(0, 1)
-        for kernel in KERNEL_NAMES:
-            DensityMatrixSimulator(kernel=kernel).run(circuit)
+        DensityMatrixSimulator().run(circuit)
         text = REGISTRY.render()
-        assert 'repro_kernel_gate_applications_total{kernel="einsum",arity="1"}' in text
-        assert 'repro_kernel_gate_applications_total{kernel="einsum",arity="2"}' in text
-        assert 'repro_kernel_gate_applications_total{kernel="dense",arity="1"}' in text
+        assert 'repro_kernel_gate_applications_total{arity="1"}' in text
+        assert 'repro_kernel_gate_applications_total{arity="2"}' in text
+        gate_lines = [line for line in text.splitlines() if line.startswith("repro_kernel_gate")]
+        assert not any("kernel=" in line for line in gate_lines)
         assert "repro_kernel_gate_seconds_bucket" in text
-        assert 'repro_kernel_gate_seconds_count{kernel="einsum"}' in text
+        assert "\nrepro_kernel_gate_seconds_count " in text

@@ -1,17 +1,69 @@
-"""Unit tests for the shot simulator (exact and trajectory methods)."""
+"""Unit tests for the shot simulator (exact distribution, multinomial shots)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.shot_simulator import ShotSimulator, run_and_sample
+from repro.circuits.shot_simulator import run_and_sample
 from repro.quantum.random import random_statevector
+from tests.reference.dense import DenseDensityMatrixSimulator
 
 
 def _bell_measured() -> QuantumCircuit:
     circuit = QuantumCircuit(2, 2)
     circuit.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+    return circuit
+
+
+def _deterministic() -> QuantumCircuit:
+    circuit = QuantumCircuit(1, 1)
+    circuit.x(0).measure(0, 0)
+    return circuit
+
+
+def _feedforward() -> QuantumCircuit:
+    # Measure a |1> qubit and conditionally flip the second: always "11".
+    circuit = QuantumCircuit(2, 2)
+    circuit.x(0).measure(0, 0)
+    circuit.x(1, condition=(0, 1))
+    circuit.measure(1, 1)
+    return circuit
+
+
+def _reset() -> QuantumCircuit:
+    circuit = QuantumCircuit(1, 1)
+    circuit.h(0).reset(0).measure(0, 0)
+    return circuit
+
+
+def _initialize() -> QuantumCircuit:
+    circuit = QuantumCircuit(1, 1)
+    circuit.h(0)
+    circuit.initialize(np.array([0, 1]), 0)
+    circuit.measure(0, 0)
+    return circuit
+
+
+def _teleportation() -> QuantumCircuit:
+    """Mid-circuit Bell measurement with feed-forward, receiver measured last."""
+    from repro.teleport import teleportation_circuit
+
+    base = teleportation_circuit(message_state=random_statevector(1, seed=7), resource=1.0)
+    circuit = QuantumCircuit(3, 3)
+    circuit.compose(base, inplace=True)
+    circuit.measure(2, 2)
+    return circuit
+
+
+def _branching() -> QuantumCircuit:
+    """Random outcomes driving a conditioned gate, a reset and a re-initialised qubit."""
+    circuit = QuantumCircuit(3, 3)
+    circuit.ry(1.1, 0).h(1).measure(0, 0)
+    circuit.x(2, condition=(0, 1))
+    circuit.reset(1)
+    circuit.initialize(np.array([0.6, 0.8j]), 1)
+    circuit.measure(1, 1).measure(2, 2)
     return circuit
 
 
@@ -44,10 +96,6 @@ class TestShotSimulatorExact:
         with pytest.raises(SimulationError):
             run_and_sample(QuantumCircuit(1), 10)
 
-    def test_unknown_method(self):
-        with pytest.raises(SimulationError):
-            ShotSimulator(method="magic")
-
     def test_total_shots_preserved(self):
         counts = run_and_sample(_bell_measured(), 1234, seed=9)
         assert counts.shots == 1234
@@ -66,54 +114,33 @@ class TestShotSimulatorExact:
         expected_p1 = abs(state.data[1]) ** 2
         assert counts["1"] / counts.shots == pytest.approx(expected_p1, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _deterministic,
+            _bell_measured,
+            _feedforward,
+            _reset,
+            _initialize,
+            _teleportation,
+            _branching,
+        ],
+        ids=lambda build: build.__name__.lstrip("_"),
+    )
+    def test_matches_reference(self, build):
+        """Sampled frequencies match the full-space reference distribution.
 
-class TestShotSimulatorTrajectory:
-    def test_deterministic_circuit(self):
-        circuit = QuantumCircuit(1, 1)
-        circuit.x(0).measure(0, 0)
-        counts = run_and_sample(circuit, 50, seed=0, method="trajectory")
-        assert dict(counts) == {"1": 50}
-
-    def test_bell_correlations(self):
-        counts = run_and_sample(_bell_measured(), 400, seed=1, method="trajectory")
-        assert set(counts.keys()) <= {"00", "11"}
-
-    def test_feedforward(self):
-        # Measure a |1> qubit and conditionally flip the second: outcome always "1" then "1".
-        circuit = QuantumCircuit(2, 2)
-        circuit.x(0).measure(0, 0)
-        circuit.x(1, condition=(0, 1))
-        circuit.measure(1, 1)
-        counts = run_and_sample(circuit, 100, seed=2, method="trajectory")
-        assert dict(counts) == {"11": 100}
-
-    def test_reset(self):
-        circuit = QuantumCircuit(1, 1)
-        circuit.h(0).reset(0).measure(0, 0)
-        counts = run_and_sample(circuit, 100, seed=3, method="trajectory")
-        assert dict(counts) == {"0": 100}
-
-    def test_initialize(self):
-        circuit = QuantumCircuit(1, 1)
-        circuit.h(0)
-        circuit.initialize(np.array([0, 1]), 0)
-        circuit.measure(0, 0)
-        counts = run_and_sample(circuit, 100, seed=4, method="trajectory")
-        assert dict(counts) == {"1": 100}
-
-    def test_agrees_with_exact_on_teleportation(self):
-        # The marginal distribution of the receiver's Z measurement must agree
-        # between the two methods (within sampling error).
-        message = random_statevector(1, seed=7)
-        from repro.teleport import teleportation_circuit
-
-        base = teleportation_circuit(message_state=message, resource=1.0)
-        circuit = QuantumCircuit(3, 3)
-        circuit.compose(base, inplace=True)
-        circuit.measure(2, 2)
-
-        exact = run_and_sample(circuit, 6000, seed=8, method="exact").marginal([2])
-        trajectory = run_and_sample(circuit, 1500, seed=9, method="trajectory").marginal([2])
-        p_exact = exact["1"] / exact.shots
-        p_trajectory = trajectory["1"] / trajectory.shots
-        assert p_exact == pytest.approx(p_trajectory, abs=0.06)
+        Covers mid-circuit measurement, feed-forward, reset and initialise:
+        every outcome's frequency lies within five binomial standard
+        deviations of its reference probability, and no outcome outside the
+        reference support is ever drawn.
+        """
+        circuit = build()
+        shots = 4000
+        reference = DenseDensityMatrixSimulator().run(circuit).classical_distribution()
+        counts = run_and_sample(circuit, shots, seed=11)
+        assert counts.shots == shots
+        assert set(counts) <= {key for key, p in reference.items() if p > 1e-12}
+        for key, probability in reference.items():
+            radius = 5.0 * np.sqrt(probability * (1.0 - probability) / shots) + 1e-12
+            assert abs(counts.get(key, 0) / shots - probability) <= radius, key

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits import resolve_backend
-from repro.exceptions import CuttingError, SimulationError
+from repro.exceptions import CuttingError
 from repro.devices import DeviceFleet, NoiseModel, VirtualDevice, fleet_from_spec, example_fleet_spec
 from repro.experiments import (
     fleet_bias_vs_bound,
@@ -17,11 +17,6 @@ class TestResolveBackendSeam:
     def test_fleet_passes_through_resolve_backend(self):
         fleet = fleet_from_spec(example_fleet_spec())
         assert resolve_backend(fleet) is fleet
-
-    def test_fleet_rejects_trajectory_method(self):
-        fleet = fleet_from_spec(example_fleet_spec())
-        with pytest.raises(SimulationError, match="serial"):
-            resolve_backend(fleet, method="trajectory")
 
 
 class TestPipelineOnFleet:

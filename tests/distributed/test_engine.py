@@ -10,12 +10,13 @@ artifacts with in-process twins.
 import numpy as np
 import pytest
 
-from repro.circuits.backends import resolve_backend
+from repro.circuits.backends import DistributionCache, VectorizedBackend, resolve_backend
 from repro.devices import DeviceFleet, NoiseModel, VirtualDevice
 from repro.distributed import DistributedRoundExecutor, WorkStealingScheduler
 from repro.exceptions import DecompositionError, DistributedError
 from repro.qpd.adaptive import AdaptiveConfig, TermStatistics, run_adaptive_rounds
 from repro.cutting.executor import BackendRoundExecutor
+from repro.telemetry.metrics import REGISTRY
 
 from utils.workloads import ghz_cut_workload
 
@@ -125,6 +126,34 @@ class TestBitwiseIdentity:
         # The fleet seeds the device layout and the split weights.
         assert executor.scheduler.devices == ("clean", "noisy")
         assert np.allclose(executor.scheduler.weights, [2 / 3, 1 / 3])
+
+
+class TestWorkerCounters:
+    def test_process_workers_report_counters_to_the_coordinator(self, workload, reference):
+        """Gate and cache counters incremented in worker processes reach this registry."""
+        names = (
+            "repro_kernel_gate_applications_total",
+            "repro_distribution_cache_hits_total",
+            "repro_distribution_cache_misses_total",
+        )
+
+        def totals():
+            return {name: sum(v for _, v in REGISTRY.get(name).samples()) for name in names}
+
+        before = totals()
+        # A fresh cache makes the workers simulate instead of inheriting the
+        # reference run's cached distributions through the fork.
+        result, _ = distributed_run(
+            workload,
+            backend=VectorizedBackend(cache=DistributionCache()),
+            workers=2,
+            mode="process",
+        )
+        after = totals()
+        assert_bitwise_equal(result, reference)
+        gate_applications, hits, misses = (after[name] - before[name] for name in names)
+        assert gate_applications > 0
+        assert hits + misses > 0
 
 
 class TestExecutorLedger:

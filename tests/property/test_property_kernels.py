@@ -1,10 +1,10 @@
-"""Property-based equivalence of the einsum and dense simulation kernels.
+"""Property-based checks of the axis-local simulators against the full-space reference.
 
-The axis-local ``einsum`` kernels must be indistinguishable from the legacy
-``dense`` reference path on arbitrary circuits: final states and exact
-distributions agree to 1e-12, and — for a fixed kernel — every execution
-backend returns bitwise-identical distributions and sampled counts for the
-same seed (the repo-wide determinism contract).
+The simulators of :mod:`repro.circuits` must be indistinguishable from the
+full-space reference simulators of ``tests/reference/dense.py`` on arbitrary
+circuits: final states and exact distributions agree to 1e-12.  Every
+execution backend returns bitwise-identical distributions and sampled counts
+for the same seed (the repo-wide determinism contract).
 """
 
 import numpy as np
@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from repro.circuits.backends import ProcessPoolBackend, SerialBackend, VectorizedBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.kernels import KERNEL_NAMES
 from repro.circuits.statevector_simulator import StatevectorSimulator
 from repro.devices import NoiseModel, NoisyDeviceBackend
+from tests.reference.dense import DenseDensityMatrixSimulator, DenseStatevectorSimulator
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -109,23 +109,23 @@ class TestKernelEquivalence:
     @SETTINGS
     @given(circuit=mixed_circuits())
     def test_density_matrix_distributions_agree(self, circuit):
-        """einsum and dense produce the same exact distribution to 1e-12."""
-        einsum = DensityMatrixSimulator(kernel="einsum").run(circuit)
-        dense = DensityMatrixSimulator(kernel="dense").run(circuit)
+        """The simulator and the reference give the same exact distribution to 1e-12."""
+        got = DensityMatrixSimulator().run(circuit)
+        expected = DenseDensityMatrixSimulator().run(circuit)
         _distributions_close(
-            einsum.classical_distribution(), dense.classical_distribution(), atol=1e-12
+            got.classical_distribution(), expected.classical_distribution(), atol=1e-12
         )
         # The branch-averaged quantum states agree too.
         np.testing.assert_allclose(
-            einsum.average_state().data, dense.average_state().data, atol=1e-12
+            got.average_state().data, expected.average_state().data, atol=1e-12
         )
 
     @SETTINGS
     @given(circuit=unitary_circuits())
     def test_statevector_states_agree(self, circuit):
-        einsum = StatevectorSimulator(kernel="einsum").run(circuit).data
-        dense = StatevectorSimulator(kernel="dense").run(circuit).data
-        np.testing.assert_allclose(einsum, dense, atol=1e-12)
+        got = StatevectorSimulator().run(circuit).data
+        expected = DenseStatevectorSimulator().run(circuit).data
+        np.testing.assert_allclose(got, expected, atol=1e-12)
 
     @SETTINGS
     @given(
@@ -137,32 +137,31 @@ class TestKernelEquivalence:
         """The local-Kraus noise path matches the expanded reference."""
         noise = NoiseModel(depolarizing_1q=p1, depolarizing_2q=p2)
         hook = noise.gate_noise_hook
-        einsum = DensityMatrixSimulator(gate_noise=hook, kernel="einsum").run(circuit)
-        dense = DensityMatrixSimulator(gate_noise=hook, kernel="dense").run(circuit)
+        got = DensityMatrixSimulator(gate_noise=hook).run(circuit)
+        expected = DenseDensityMatrixSimulator(gate_noise=hook).run(circuit)
         _distributions_close(
-            einsum.classical_distribution(), dense.classical_distribution(), atol=1e-12
+            got.classical_distribution(), expected.classical_distribution(), atol=1e-12
         )
 
 
 class TestCrossBackendBitwise:
-    """For a fixed kernel, every backend is bitwise identical per seed."""
+    """Every backend is bitwise identical per seed."""
 
     @SETTINGS
     @given(
         circuit=mixed_circuits(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        kernel=st.sampled_from(KERNEL_NAMES),
     )
-    def test_distributions_and_counts_bitwise_across_backends(self, circuit, seed, kernel):
+    def test_distributions_and_counts_bitwise_across_backends(self, circuit, seed):
         circuits = [circuit, circuit.copy()]
         shots = [64, 128]
         backends = [
-            SerialBackend(kernel=kernel),
-            VectorizedBackend(cache=None, kernel=kernel),
+            SerialBackend(),
+            VectorizedBackend(cache=None),
             # chunk_size keeps the pool on its in-process path: worker
             # processes are exercised (slowly) by tests/circuits/test_backends
             # and the kernel benchmark; the arithmetic is chunk-invariant.
-            ProcessPoolBackend(chunk_size=len(circuits), kernel=kernel),
+            ProcessPoolBackend(chunk_size=len(circuits)),
         ]
         reference_distributions = None
         reference_counts = None
@@ -182,15 +181,14 @@ class TestCrossBackendBitwise:
     @given(
         circuit=mixed_circuits(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        kernel=st.sampled_from(KERNEL_NAMES),
     )
-    def test_noisy_backend_bitwise_across_inner_backends(self, circuit, seed, kernel):
+    def test_noisy_backend_bitwise_across_inner_backends(self, circuit, seed):
         noise = NoiseModel(depolarizing_1q=0.02, depolarizing_2q=0.05, readout_p01=0.01)
         circuits = [circuit]
         shots = [96]
         results = []
         for inner in ("serial", "vectorized"):
-            backend = NoisyDeviceBackend(noise, inner=inner, kernel=kernel)
+            backend = NoisyDeviceBackend(noise, inner=inner)
             backend.cache.clear()
             results.append(
                 (
