@@ -14,9 +14,10 @@ expand every operator to ``2^n × 2^n``):
 
 Asserted invariants (deterministic under the pinned seeds):
 
-* paired median wall times give the library simulators **≥ 5×** over the
-  reference on the density-matrix workload and **≥ 10×** on the
-  statevector workload;
+* the median of per-pair speedups — each repeat times the library and the
+  reference arm back to back, so a slow spell of the host hits both — gives
+  the library simulators **≥ 5×** over the reference on the density-matrix
+  workload and **≥ 10×** on the statevector workload;
 * the exact classical distribution of the density-matrix workload and the
   final statevector are **bitwise identical** to the reference (the
   workload's gate entries make the contraction arithmetic exact, and
@@ -56,7 +57,7 @@ from repro.distributed import WorkUnit, execute_unit
 from repro.utils.rng import spawn_seed_sequences
 from tests.reference.dense import DenseDensityMatrixSimulator, DenseStatevectorSimulator
 
-#: Speedup floors (paired medians, reference over library simulator).
+#: Speedup floors (median per-pair ratio, reference over library simulator).
 SPEEDUP_FLOOR_DM = 5.0
 SPEEDUP_FLOOR_SV = 10.0
 #: Seed of every sampled arm (the grid asserts bitwise identity under it).
@@ -101,18 +102,41 @@ def statevector_chain(num_qubits: int, links: int) -> QuantumCircuit:
 def _configuration(full: bool) -> dict:
     if full:
         return {"mode": "full", "dm_qubits": 12, "sv_qubits": 14, "sv_links": 5, "repeats": 1}
-    return {"mode": "smoke", "dm_qubits": 9, "sv_qubits": 12, "sv_links": 5, "repeats": 3}
+    return {"mode": "smoke", "dm_qubits": 9, "sv_qubits": 12, "sv_links": 5, "repeats": 7}
 
 
-def _median_seconds(run, repeats: int) -> tuple[float, object]:
-    """Return (median wall seconds, last result) of ``repeats`` runs."""
-    samples = []
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples), result
+def _timed(run) -> tuple[float, object]:
+    """Return (wall seconds, result) of one run."""
+    start = time.perf_counter()
+    result = run()
+    return time.perf_counter() - start, result
+
+
+def _paired_timings(library, reference, repeats: int) -> dict:
+    """Time the library and reference arms interleaved, ``repeats`` pairs.
+
+    Each repeat runs both arms back to back (alternating which goes first),
+    so a slow spell of the host hits both sides of a pair; the speedup is
+    the median of the per-pair ratios.
+    """
+    library_samples, reference_samples, ratios = [], [], []
+    for repeat in range(repeats):
+        if repeat % 2 == 0:
+            library_seconds, library_result = _timed(library)
+            reference_seconds, reference_result = _timed(reference)
+        else:
+            reference_seconds, reference_result = _timed(reference)
+            library_seconds, library_result = _timed(library)
+        library_samples.append(library_seconds)
+        reference_samples.append(reference_seconds)
+        ratios.append(reference_seconds / library_seconds)
+    return {
+        "library_seconds": statistics.median(library_samples),
+        "reference_seconds": statistics.median(reference_samples),
+        "speedup": statistics.median(ratios),
+        "library_result": library_result,
+        "reference_result": reference_result,
+    }
 
 
 def _grid_results(circuits, shots):
@@ -158,16 +182,16 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
     # -- density-matrix arm -------------------------------------------------------
     dm_circuit = density_chain(config["dm_qubits"])
     clear_prepared_cache()
-    einsum_dm_seconds, einsum_dm_result = _median_seconds(
-        lambda: DensityMatrixSimulator().run(dm_circuit), repeats
+    dm = _paired_timings(
+        lambda: DensityMatrixSimulator().run(dm_circuit),
+        lambda: DenseDensityMatrixSimulator().run(dm_circuit),
+        repeats,
     )
     cache_info = prepared_cache_info()
-    dense_dm_seconds, dense_dm_result = _median_seconds(
-        lambda: DenseDensityMatrixSimulator().run(dm_circuit), repeats
-    )
-    dm_speedup = dense_dm_seconds / einsum_dm_seconds
-    einsum_distribution = einsum_dm_result.classical_distribution()
-    dense_distribution = dense_dm_result.classical_distribution()
+    einsum_dm_seconds, dense_dm_seconds = dm["library_seconds"], dm["reference_seconds"]
+    dm_speedup = dm["speedup"]
+    einsum_distribution = dm["library_result"].classical_distribution()
+    dense_distribution = dm["reference_result"].classical_distribution()
     assert einsum_distribution == dense_distribution, (
         "density-matrix distribution differs from the reference"
     )
@@ -180,14 +204,14 @@ def test_kernel_speedup_and_bitwise_identity(bench_artifact):
 
     # -- statevector arm ----------------------------------------------------------
     sv_circuit = statevector_chain(config["sv_qubits"], config["sv_links"])
-    einsum_sv_seconds, einsum_sv_state = _median_seconds(
-        lambda: StatevectorSimulator().run(sv_circuit), repeats
+    sv = _paired_timings(
+        lambda: StatevectorSimulator().run(sv_circuit),
+        lambda: DenseStatevectorSimulator().run(sv_circuit),
+        repeats,
     )
-    dense_sv_seconds, dense_sv_state = _median_seconds(
-        lambda: DenseStatevectorSimulator().run(sv_circuit), repeats
-    )
-    sv_speedup = dense_sv_seconds / einsum_sv_seconds
-    assert np.array_equal(einsum_sv_state.data, dense_sv_state.data), (
+    einsum_sv_seconds, dense_sv_seconds = sv["library_seconds"], sv["reference_seconds"]
+    sv_speedup = sv["speedup"]
+    assert np.array_equal(sv["library_result"].data, sv["reference_result"].data), (
         "statevector differs from the reference"
     )
     assert sv_speedup >= SPEEDUP_FLOOR_SV, (

@@ -1,41 +1,46 @@
-"""Load benchmark of the job service: asyncio server vs the legacy threaded one.
+"""Load benchmark of the job service's asyncio HTTP front-end.
 
 Run with ``pytest benchmarks/bench_service_load.py -q -s``.
 
-Both servers front the *same* :class:`~repro.service.RunService` design and
-the same scheduler; the benchmark hammers each with
+The benchmark hammers :class:`~repro.service.AsyncJobServer` with
 :func:`tools.load_gen.run_load` — ``CONCURRENCY`` workers looping
-submit → status over persistent connections, all submitting the identical
-job payload so the scheduler's dedup path keeps the pipeline out of the
-measurement.  The headline is sustained **submissions/second** and **p99
-status latency**:
+submit → status over persistent keep-alive connections, all submitting the
+identical job payload so the scheduler's dedup path keeps the pipeline out
+of the measurement.  The headline is sustained **submissions/second** and
+**p99 status latency**.
 
-* the asyncio server (:class:`~repro.service.AsyncJobServer`) serves every
-  connection on one event loop with HTTP/1.1 keep-alive;
-* the legacy :class:`~http.server.ThreadingHTTPServer` speaks HTTP/1.0 and
-  pays a fresh TCP connection plus a fresh handler thread per request.
+The floors are absolute.  They replace a ≥3x throughput ratio (at no worse
+than 1.5x the p99 status latency) over a thread-per-connection HTTP/1.0
+server that the service no longer ships.  Nine runs of both arms on a
+2-vCPU Intel Xeon host (Python 3.11, 2 s of load per arm) gave a median
+threaded arm of 276.65 submissions/s with a p99 status latency of
+17.708 ms, so the floors are 3 x 276.65 = 830 submissions/s and
+max(1.5 x 17.708 ms, 5 ms) = 26.6 ms.  They are host-bound figures.
 
 ``BENCH_service_load.json`` is written to the working directory
 (overridable via ``REPRO_BENCH_OUT``) so CI can archive the trajectory.
-Set ``REPRO_BENCH_FULL=1`` to enforce the 3x throughput floor; the default
-smoke run records without asserting so one noisy shared-runner sample
-cannot fail the build.
+Set ``REPRO_BENCH_FULL=1`` to enforce the floors; the default smoke run
+records without asserting so one noisy shared-runner sample cannot fail
+the build.
 """
 
 import os
-import threading
 import time
 
 from repro.experiments import ghz_circuit
-from repro.service import JobSpec, RunService, ServerThread, make_server
+from repro.service import JobSpec, RunService, ServerThread
 from tools.load_gen import run_load
 
-#: Seconds of sustained load against each server.
+#: Seconds of sustained load.
 DURATION = float(os.environ.get("REPRO_BENCH_LOAD_SECONDS", "2.0"))
 #: Concurrent load-generator workers.
 CONCURRENCY = 8
 QUBITS = 4
 SHOTS = 1000
+#: Sustained submissions/second the asyncio server must reach.
+MIN_SUBMISSIONS_PER_SECOND = 830.0
+#: Largest p99 status latency (milliseconds) the asyncio server may show.
+MAX_STATUS_P99_MS = 26.6
 
 
 def _payload() -> dict:
@@ -65,70 +70,41 @@ def _measure_asyncio(payload: dict):
         service.close()
 
 
-def _measure_threaded(payload: dict):
-    """Run the load against the legacy threaded server; return its LoadResult."""
-    service = RunService(workers=2)
-    server = make_server(host="127.0.0.1", port=0, service=service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    url = f"http://{host}:{port}"
-    try:
-        run_load(url, payload, duration=0.2, concurrency=1)
-        service.scheduler.wait_all(timeout=120)
-        return run_load(url, payload, duration=DURATION, concurrency=CONCURRENCY)
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        service.close()
+def test_asyncio_server_meets_absolute_floors(bench_artifact):
+    """The asyncio server sustains the floor throughput at a bounded p99.
 
-
-def test_asyncio_server_outpaces_threaded_baseline(bench_artifact):
-    """The asyncio server sustains >= 3x the threaded submissions/sec.
-
-    With ``REPRO_BENCH_FULL=1`` the 3x floor (at no-worse p99 status
-    latency) is enforced; the smoke run records the measurement without
-    asserting it.
+    With ``REPRO_BENCH_FULL=1`` both floors are enforced; the smoke run
+    records the measurement without asserting it.
     """
     full = os.environ.get("REPRO_BENCH_FULL", "") == "1"
-    payload = _payload()
+    result = _measure_asyncio(_payload())
 
-    threaded = _measure_threaded(payload)
-    asyncio_result = _measure_asyncio(payload)
+    assert result.errors == 0, f"asyncio load run saw errors: {result}"
+    assert result.submissions > 0
 
-    assert asyncio_result.errors == 0, f"asyncio load run saw errors: {asyncio_result}"
-    assert threaded.errors == 0, f"threaded load run saw errors: {threaded}"
-    assert asyncio_result.submissions > 0
-    assert threaded.submissions > 0
-
-    ratio = asyncio_result.submissions_per_second / max(threaded.submissions_per_second, 1e-9)
     record = {
-        "benchmark": "service_load_asyncio_vs_threaded",
+        "benchmark": "service_load_asyncio",
         "full_scale": full,
         "duration_seconds": DURATION,
         "concurrency": CONCURRENCY,
         "cpu_count": os.cpu_count(),
-        "asyncio": asyncio_result.to_payload(),
-        "threaded": threaded.to_payload(),
-        "throughput_ratio": round(ratio, 2),
+        "asyncio": result.to_payload(),
+        "min_submissions_per_second": MIN_SUBMISSIONS_PER_SECOND,
+        "max_status_p99_ms": MAX_STATUS_P99_MS,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     out_path = bench_artifact("BENCH_service_load.json", record)
     print(
-        f"\nservice load: asyncio {asyncio_result.submissions_per_second:.0f} sub/s "
-        f"(p99 status {asyncio_result.status_p99_ms:.1f}ms) vs threaded "
-        f"{threaded.submissions_per_second:.0f} sub/s "
-        f"(p99 status {threaded.status_p99_ms:.1f}ms) -> {ratio:.1f}x -> {out_path}"
+        f"\nservice load: asyncio {result.submissions_per_second:.0f} sub/s "
+        f"(p99 status {result.status_p99_ms:.1f}ms) -> {out_path}"
     )
 
     if full:
-        assert ratio >= 3.0, (
-            f"asyncio throughput ratio {ratio:.2f}x below the 3x floor "
-            f"(asyncio {asyncio_result.submissions_per_second:.0f}/s, "
-            f"threaded {threaded.submissions_per_second:.0f}/s)"
+        assert result.submissions_per_second >= MIN_SUBMISSIONS_PER_SECOND, (
+            f"asyncio throughput {result.submissions_per_second:.0f}/s below the "
+            f"{MIN_SUBMISSIONS_PER_SECOND:.0f}/s floor"
         )
-        assert asyncio_result.status_p99_ms <= max(threaded.status_p99_ms * 1.5, 5.0), (
-            f"asyncio p99 status latency {asyncio_result.status_p99_ms:.2f}ms regressed "
-            f"past the threaded baseline {threaded.status_p99_ms:.2f}ms"
+        assert result.status_p99_ms <= MAX_STATUS_P99_MS, (
+            f"asyncio p99 status latency {result.status_p99_ms:.2f}ms above the "
+            f"{MAX_STATUS_P99_MS}ms floor"
         )

@@ -336,17 +336,36 @@ class VectorizedBackend:
         return results  # type: ignore[return-value]
 
 
-def _pool_worker_distributions(circuits: list[QuantumCircuit]) -> list[dict[str, float]]:
-    """Worker entry point: exact distributions of one chunk (fresh local cache)."""
-    return VectorizedBackend(cache=DistributionCache()).exact_distributions(circuits)
+def _pool_worker_distributions(
+    circuits: list[QuantumCircuit],
+) -> tuple[list[dict[str, float]], dict]:
+    """Worker entry point: exact distributions of one chunk (fresh local cache).
+
+    Returns the distributions and the registry counter increments they made.
+    """
+    backend = VectorizedBackend(cache=DistributionCache())
+    return REGISTRY.call_counting(backend.exact_distributions, circuits)
 
 
 def _pool_worker_run(
     payload: tuple[list[QuantumCircuit], list[int], list[np.random.SeedSequence]],
-) -> list[Counts]:
-    """Worker entry point: sample one chunk with pre-spawned per-circuit streams."""
+) -> tuple[list[Counts], dict]:
+    """Worker entry point: sample one chunk with pre-spawned per-circuit streams.
+
+    Returns the counts and the registry counter increments they made.
+    """
     circuits, shots, children = payload
-    return _sample_batch(VectorizedBackend(cache=DistributionCache()), circuits, shots, children)
+    backend = VectorizedBackend(cache=DistributionCache())
+    return REGISTRY.call_counting(_sample_batch, backend, circuits, shots, children)
+
+
+def _merge_chunks(chunk_results: list[tuple[list, dict]]) -> list:
+    """Concatenate worker chunk results and fold their counters into this registry."""
+    results: list = []
+    for chunk_result, increments in chunk_results:
+        REGISTRY.add_counter_samples(increments)
+        results.extend(chunk_result)
+    return results
 
 
 class ProcessPoolBackend:
@@ -364,9 +383,11 @@ class ProcessPoolBackend:
     repeated sweep points reuse distributions *and* the ``cache.hits`` /
     ``cache.misses`` accounting survives across calls — previously every
     call built a throwaway cache and the stats were lost.  Multi-chunk
-    batches still use worker-local caches (worker processes cannot share
-    the parent's), whose stats only surface through the process-wide
-    metrics counters of each worker.
+    batches use worker-local caches (worker processes cannot share the
+    parent's); each worker returns the registry counter increments of its
+    chunk (gate applications, cache hits and misses) with the chunk's
+    results, and they are added to this process's registry, so
+    ``GET /metrics`` and the benchmark see the workers' work.
     """
 
     name = "process-pool"
@@ -424,11 +445,7 @@ class ProcessPoolBackend:
             for chunk in chunks
         ]
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            chunk_results = list(pool.map(_pool_worker_run, payloads))
-        results: list[Counts] = []
-        for chunk_result in chunk_results:
-            results.extend(chunk_result)
-        return results
+            return _merge_chunks(list(pool.map(_pool_worker_run, payloads)))
 
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
@@ -438,11 +455,7 @@ class ProcessPoolBackend:
             return VectorizedBackend(cache=self.cache).exact_distributions(circuits)
         payloads = [[circuits[i] for i in chunk] for chunk in chunks]
         with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            chunk_results = list(pool.map(_pool_worker_distributions, payloads))
-        results: list[dict[str, float]] = []
-        for chunk_result in chunk_results:
-            results.extend(chunk_result)
-        return results
+            return _merge_chunks(list(pool.map(_pool_worker_distributions, payloads)))
 
 
 def resolve_backend(backend: SimulatorBackend | str | None) -> SimulatorBackend:

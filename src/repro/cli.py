@@ -426,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     store_parser = subparsers.add_parser(
-        "store", help="inspect and migrate a run-store directory"
+        "store", help="inspect a run-store directory"
     )
     store_commands = store_parser.add_subparsers(dest="store_command", required=True)
 
@@ -439,16 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("plan", "rounds", "execution", "result"),
         default=None,
         help="only runs that completed this stage",
-    )
-
-    store_migrate = store_commands.add_parser(
-        "migrate", help="ingest a legacy per-file store layout into the SQLite index"
-    )
-    store_migrate.add_argument("path", type=str, metavar="DIR")
-    store_migrate.add_argument(
-        "--remove",
-        action="store_true",
-        help="delete the legacy files after a successful migration",
     )
 
     trace = subparsers.add_parser(
@@ -1193,20 +1183,6 @@ def _command_store(args: argparse.Namespace) -> int:
 
     try:
         store = RunStore(args.path)
-        if args.store_command == "migrate":
-            counters = store.migrate_legacy(remove=args.remove)
-            removed = " (legacy files removed)" if args.remove else ""
-            print(
-                f"migrated {counters['runs']} runs ({counters['stages']} stages, "
-                f"{counters['artifacts']} artifacts, {counters['skipped']} skipped)"
-                f"{removed}"
-            )
-            stats = store.stats()
-            print(
-                f"index: {stats['stage_rows']} stage rows over {stats['blobs']} blobs "
-                f"(dedup ratio {stats['dedup_ratio']:.2f})"
-            )
-            return 0
         rows = store.list_runs(limit=args.limit, offset=args.offset, stage=args.stage)
         total = store.count_runs(stage=args.stage)
         if not rows:

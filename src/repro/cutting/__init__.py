@@ -93,7 +93,6 @@ from repro.cutting.cut_finding import (
 from repro.cutting.peng_cut import PengWireCut
 from repro.cutting.standard_cut import HaradaWireCut
 from repro.cutting.teleport_cut import TeleportationWireCut
-from repro.cutting.virtual_distillation import DistilledTeleportWireCut, virtual_bell_decomposition
 
 __all__ = [
     # protocol classes
@@ -161,9 +160,6 @@ __all__ = [
     "execute_instances",
     "execute_instances_adaptive",
     "sampling_models_from_instances",
-    # virtual distillation (Appendix B construction)
-    "virtual_bell_decomposition",
-    "DistilledTeleportWireCut",
     # automatic cut finding
     "CutPlan",
     "Fragment",

@@ -170,15 +170,9 @@ def _worker_main(
         try:
             if latency > 0.0:
                 time.sleep(latency)
-            before = REGISTRY.counter_samples()
-            result = execute_unit(
-                backend, circuits, selected_clbits, unit, worker=worker_name
+            result, counts = REGISTRY.call_counting(
+                execute_unit, backend, circuits, selected_clbits, unit, worker=worker_name
             )
-            counts = {
-                key: value - before.get(key, 0.0)
-                for key, value in REGISTRY.counter_samples().items()
-                if value != before.get(key, 0.0)
-            }
         except Exception as error:  # ship the failure, never kill the loop
             results.put(
                 ("error", worker_name, unit.key, f"{type(error).__name__}: {error}")

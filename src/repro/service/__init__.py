@@ -12,8 +12,7 @@ a *durable, concurrent* serving layer:
     stage artifact under the job fingerprint — payloads are deduplicated
     across jobs sharing identical stages — so identical requests are served
     from the store and interrupted runs resume from the last completed
-    stage.  Legacy per-file layouts are read through transparently and
-    migrated with :meth:`RunStore.migrate_legacy`.
+    stage.
 :func:`run_job`
     Execute (or resume, or serve from cache) a single job against a store.
 :class:`JobScheduler`
@@ -32,7 +31,7 @@ from repro.service.client import ServiceClient
 from repro.service.ratelimit import TenantRateLimiter, TokenBucket
 from repro.service.runner import JobOutcome, run_job
 from repro.service.scheduler import JobScheduler
-from repro.service.server import RunService, make_server, serve
+from repro.service.server import RunService, serve
 from repro.service.spec import JobSpec
 from repro.service.store import RunStore
 
@@ -48,7 +47,6 @@ __all__ = [
     "ServerThread",
     "TenantRateLimiter",
     "TokenBucket",
-    "make_server",
     "serve",
     "serve_async",
 ]

@@ -1,11 +1,9 @@
 """The asyncio job server: streaming progress, rate limits, graceful drain.
 
-This is the ``repro serve`` engine since the service-hardening pass.  It
-replaces the thread-per-connection stdlib server (kept in
-:mod:`repro.service.server` as the benchmark baseline) with a single-threaded
-:mod:`asyncio` streams front-end over the same
-:class:`~repro.service.server.RunService` facade; all heavy work still runs
-on the scheduler's bounded worker pool.
+This is the service's only HTTP front-end, the engine ``repro serve`` runs:
+a single-threaded :mod:`asyncio` streams server with HTTP/1.1 keep-alive over
+the :class:`~repro.service.server.RunService` facade; all heavy work runs on
+the scheduler's bounded worker pool.
 
 ==================================  ==========================================
 ``GET  /healthz``                   liveness + job counters + drain flag
@@ -49,11 +47,14 @@ import time
 import urllib.parse
 
 from repro.exceptions import ReproError, ServiceBusyError, ServiceError
-from repro.service.server import MAX_BODY_BYTES, RunService
+from repro.service.server import RunService
 from repro.telemetry.metrics import REGISTRY
 from repro.utils.serialization import canonical_json
 
 __all__ = ["AsyncJobServer", "ServerThread", "serve_async"]
+
+#: Largest accepted request body (a guard against accidental huge uploads).
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Content type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -109,9 +110,6 @@ _TERMINAL_STATES = ("done", "failed")
 
 #: How often (seconds) an idle SSE stream re-checks job state and the store.
 _SSE_POLL_SECONDS = 0.2
-
-#: Retry-After (seconds) sent with 503 responses while draining.
-_DRAIN_RETRY_AFTER = 2.0
 
 _REASONS = {
     200: "OK",

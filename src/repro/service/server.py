@@ -1,44 +1,26 @@
-"""The job-service facade and the legacy threaded HTTP endpoint.
+"""The job-service facade and the ``repro serve`` entry point.
 
-:class:`RunService` is the facade every front-end talks to — the asyncio
-server in :mod:`repro.service.aserver` (what ``repro serve`` runs), the
-threaded :class:`~http.server.ThreadingHTTPServer` kept here as the
-load-benchmark baseline, and the tests.  Routes served by both front-ends:
-
-==============================  ==============================================
-``GET  /healthz``               liveness + job counters + drain flag
-``POST /jobs``                  submit a :class:`~repro.service.spec.JobSpec`
-                                payload; returns ``{"job_id", "state"}``
-``GET  /jobs``                  list submitted jobs (asyncio adds
-                                ``limit``/``offset``/``state`` params)
-``GET  /jobs/<id>``             one job's status
-``GET  /jobs/<id>/result``      the outcome (``202`` while pending,
-                                ``500`` + error when the job failed)
-``GET  /runs``                  runs persisted in the store
-==============================  ==============================================
-
-The asyncio front-end additionally streams ``GET /jobs/<id>/events`` (SSE)
-and honours per-tenant rate limits; see :mod:`repro.service.aserver`.
+:class:`RunService` is the facade the HTTP front-end
+(:class:`~repro.service.aserver.AsyncJobServer`, what ``repro serve`` runs)
+and the tests talk to: admission (drain flag, per-tenant rate limits),
+submission, status, results, job and run listings, and the liveness summary
+of ``GET /healthz``.  The routes themselves, including the SSE stream of
+``GET /jobs/<id>/events``, are documented in :mod:`repro.service.aserver`.
+:func:`serve` runs that front-end until ``SIGINT``/``SIGTERM``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import signal
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.exceptions import ReproError, ServiceBusyError, ServiceError
+from repro.exceptions import ServiceBusyError, ServiceError
 from repro.service.scheduler import JobScheduler
 from repro.service.spec import JobSpec
 from repro.service.store import RunStore
 from repro.telemetry.metrics import REGISTRY
-from repro.utils.serialization import canonical_json
 
-__all__ = ["RunService", "make_server", "serve"]
-
-#: Largest accepted request body (a guard against accidental huge uploads).
-MAX_BODY_BYTES = 32 * 1024 * 1024
+__all__ = ["RunService", "serve"]
 
 #: ``Retry-After`` seconds sent with 503 responses while draining.
 DRAIN_RETRY_AFTER = 2.0
@@ -64,7 +46,7 @@ _DRAIN_REJECTED = REGISTRY.counter(
 
 
 class RunService:
-    """The service facade the HTTP front-ends (and tests) talk to.
+    """The service facade the HTTP front-end (and tests) talk to.
 
     Parameters
     ----------
@@ -167,128 +149,6 @@ class RunService:
     def close(self) -> None:
         """Shut the scheduler's worker pool down."""
         self.scheduler.shutdown(wait=True)
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Maps HTTP routes onto the owning server's :class:`RunService`."""
-
-    server_version = "repro-serve/1"
-
-    @property
-    def service(self) -> RunService:
-        """The service facade attached to the owning server."""
-        return self.server.service  # type: ignore[attr-defined]
-
-    # -- plumbing ----------------------------------------------------------------------
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        """Suppress per-request stderr logging (the CLI prints its own banner)."""
-
-    def _send_json(self, payload, status: int = 200, headers: dict | None = None) -> None:
-        body = canonical_json(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_json(self, message: str, status: int) -> None:
-        self._send_json({"error": message}, status=status)
-
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise ServiceError("request body is empty")
-        if length > MAX_BODY_BYTES:
-            raise ServiceError(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        try:
-            return json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as error:
-            raise ServiceError(f"request body is not valid JSON: {error}") from error
-
-    # -- routes ------------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        """Serve the read-only routes."""
-        path = self.path.rstrip("/")
-        try:
-            if path in ("", "/healthz"):
-                self._send_json(self.service.health())
-            elif path == "/jobs":
-                self._send_json(self.service.jobs())
-            elif path == "/runs":
-                self._send_json(self.service.runs())
-            elif path.startswith("/jobs/"):
-                self._get_job(path[len("/jobs/"):])
-            else:
-                self._send_error_json(f"unknown path {self.path!r}", 404)
-        except ServiceError as error:
-            self._send_error_json(str(error), 404)
-        except ReproError as error:
-            self._send_error_json(str(error), 500)
-
-    def _get_job(self, remainder: str) -> None:
-        if remainder.endswith("/result"):
-            job_id = remainder[: -len("/result")]
-            status = self.service.status(job_id)
-            if status["state"] in ("queued", "running"):
-                self._send_json(status, status=202)
-            elif status["state"] == "failed":
-                self._send_error_json(status.get("error", "job failed"), 500)
-            else:
-                self._send_json(self.service.result_payload(job_id))
-        else:
-            self._send_json(self.service.status(remainder))
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        """Serve job submission."""
-        path = self.path.rstrip("/")
-        if path != "/jobs":
-            self._send_error_json(f"unknown path {self.path!r}", 404)
-            return
-        try:
-            payload = self._read_body()
-            tenant = self.headers.get("X-Tenant")
-            self._send_json(self.service.submit_payload(payload, tenant=tenant), status=201)
-        except ServiceBusyError as error:
-            self._send_json(
-                {"error": str(error)},
-                status=error.status,
-                headers={"Retry-After": f"{error.retry_after:.3f}"},
-            )
-        except ServiceError as error:
-            self._send_error_json(str(error), 400)
-        except ReproError as error:
-            self._send_error_json(str(error), 400)
-
-
-def make_server(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    service: RunService | None = None,
-) -> ThreadingHTTPServer:
-    """Build (without starting) the HTTP server for a :class:`RunService`.
-
-    Parameters
-    ----------
-    host:
-        Interface to bind.
-    port:
-        TCP port; ``0`` picks a free port (read it back from
-        ``server.server_address``).
-    service:
-        The service facade; a store-less two-worker service by default.
-
-    Returns
-    -------
-    ThreadingHTTPServer
-        The bound server, with the service attached as ``server.service``.
-    """
-    server = ThreadingHTTPServer((host, port), _ServiceHandler)
-    server.service = service if service is not None else RunService()  # type: ignore[attr-defined]
-    return server
 
 
 def serve(

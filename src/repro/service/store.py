@@ -1,8 +1,7 @@
 """The :class:`RunStore`: content-addressed, durable pipeline artifacts.
 
-Since the service-hardening pass the store is backed by a **SQLite index in
-WAL mode** plus a **content-addressed blob table** instead of one JSON file
-per artifact::
+The store is a **SQLite index in WAL mode** plus a **content-addressed blob
+table**::
 
     <root>/index.sqlite3      WAL-mode SQLite database
         blobs(key, payload)         canonical-JSON payloads keyed by their
@@ -11,7 +10,8 @@ per artifact::
                                     payloads are identical share ONE row
         stages(fingerprint, stage, blob_key)
                                     the run index: which blob holds which
-                                    stage of which job fingerprint
+                                    stage of which job fingerprint (the
+                                    job spec itself is the ``job`` row)
         artifacts(key, blob_key)    free-form artifacts (experiment tables)
 
 Writes are transactional (``BEGIN IMMEDIATE`` + WAL), so a crash mid-write
@@ -23,12 +23,8 @@ identical to an uninterrupted run.  WAL mode lets any number of readers
 proceed while one writer commits, and SQLite's file locking arbitrates
 writers from separate processes (``busy_timeout`` retries transparently).
 
-**Legacy layout.**  Stores written before the SQLite index used one JSON
-file per artifact under ``runs/<fp[:2]>/<fp>/<stage>.json``.  Every read
-falls through to that layout, so an old store keeps working unmodified;
-:meth:`RunStore.migrate_legacy` ingests the legacy files into the index in
-one shot (``repro store migrate``).  :meth:`RunStore.list_runs` always
-returns a single de-duplicated view across both layouts.
+A store written before the SQLite index (one JSON file per artifact under
+``runs/``) is not read by this build; migrate it with an earlier release.
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ __all__ = ["RunStore", "STAGES"]
 #: Stage-artifact names, in pipeline order (``rounds`` holds the in-flight
 #: progress of an adaptive execution and is superseded by ``execution``).
 STAGES = ("plan", "rounds", "execution", "result")
-
-#: Internal stage names: the job spec itself is stored as a pseudo-stage.
-_ALL_STAGES = ("job",) + STAGES
 
 #: SQLite schema version recorded in ``PRAGMA user_version``.
 _SCHEMA_VERSION = 1
@@ -106,8 +99,7 @@ class RunStore:
     ----------
     root:
         Directory holding the store (created on first use).  The SQLite
-        index lives at ``<root>/index.sqlite3``; legacy per-file layouts
-        under ``<root>/runs/`` are read transparently.
+        index lives at ``<root>/index.sqlite3``.
 
     Examples
     --------
@@ -223,41 +215,6 @@ class RunStore:
             return None
         return self._get_blob(conn, row[0])
 
-    # -- legacy per-file layout ---------------------------------------------------------
-
-    def run_dir(self, fingerprint: str) -> Path:
-        """Return the *legacy* directory of one run's per-file artifacts.
-
-        New writes go to the SQLite index; this path exists so old stores
-        keep being readable and :meth:`migrate_legacy` knows where to look.
-        """
-        fingerprint = _check_fingerprint(fingerprint)
-        return self.root / "runs" / fingerprint[:2] / fingerprint
-
-    def _read_legacy_json(self, path: Path):
-        """Read a legacy JSON artifact, translating corruption into ServiceError."""
-        try:
-            return json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError as error:
-            raise ServiceError(f"corrupt store artifact {path}: {error}") from error
-
-    def _legacy_stage(self, fingerprint: str, stage: str):
-        """Return a stage payload from the legacy layout, or ``None``."""
-        return self._read_legacy_json(self.run_dir(fingerprint) / f"{stage}.json")
-
-    def _legacy_fingerprints(self) -> set[str]:
-        """Return the fingerprints present in the legacy directory layout."""
-        runs_root = self.root / "runs"
-        found: set[str] = set()
-        if not runs_root.exists():
-            return found
-        for directory in runs_root.glob("*/*"):
-            if directory.is_dir():
-                found.add(directory.name)
-        return found
-
     # -- jobs ---------------------------------------------------------------------------
 
     def put_job(self, spec: JobSpec) -> str:
@@ -278,17 +235,13 @@ class RunStore:
         _check_fingerprint(fingerprint)
         payload = self._get_stage_row(fingerprint, "job")
         if payload is None:
-            payload = self._legacy_stage(fingerprint, "job")
-        if payload is None:
             raise ServiceError(f"no stored job with fingerprint {fingerprint!r}")
         return JobSpec.from_payload(payload)
 
     def has_job(self, fingerprint: str) -> bool:
         """Return True when a job spec is stored under ``fingerprint``."""
         _check_fingerprint(fingerprint)
-        if self._get_stage_row(fingerprint, "job") is not None:
-            return True
-        return (self.run_dir(fingerprint) / "job.json").exists()
+        return self._get_stage_row(fingerprint, "job") is not None
 
     # -- stage artifacts ----------------------------------------------------------------
 
@@ -299,28 +252,19 @@ class RunStore:
         self._put_stage_row(fingerprint, stage, payload)
 
     def get_stage(self, fingerprint: str, stage: str) -> dict | None:
-        """Return a stage artifact payload, or ``None`` when not stored.
-
-        The SQLite index is consulted first; a miss falls through to the
-        legacy per-file layout so pre-migration stores keep working.
-        """
+        """Return a stage artifact payload, or ``None`` when not stored."""
         _check_stage(stage)
         _check_fingerprint(fingerprint)
-        payload = self._get_stage_row(fingerprint, stage)
-        if payload is None:
-            payload = self._legacy_stage(fingerprint, stage)
-        return payload
+        return self._get_stage_row(fingerprint, stage)
 
     def has_stage(self, fingerprint: str, stage: str) -> bool:
-        """Return True when the stage artifact exists (either layout)."""
+        """Return True when the stage artifact exists."""
         _check_stage(stage)
         _check_fingerprint(fingerprint)
-        if self._get_stage_row(fingerprint, stage) is not None:
-            return True
-        return (self.run_dir(fingerprint) / f"{stage}.json").exists()
+        return self._get_stage_row(fingerprint, stage) is not None
 
     def delete_stage(self, fingerprint: str, stage: str) -> bool:
-        """Delete one stage artifact from both layouts; True when anything was removed."""
+        """Delete one stage artifact; True when anything was removed."""
         _check_stage(stage)
         _check_fingerprint(fingerprint)
         removed = False
@@ -342,10 +286,6 @@ class RunStore:
         except BaseException:
             conn.execute("ROLLBACK")
             raise
-        legacy = self.run_dir(fingerprint) / f"{stage}.json"
-        if legacy.exists():
-            legacy.unlink()
-            removed = True
         return removed
 
     def completed_stages(self, fingerprint: str) -> tuple[str, ...]:
@@ -371,21 +311,16 @@ class RunStore:
         except BaseException:
             conn.execute("ROLLBACK")
             raise
-        directory = self.run_dir(fingerprint)
-        if directory.exists():
-            for path in directory.iterdir():
-                path.unlink()
-            directory.rmdir()
-            removed = True
         return removed
 
     # -- listing ------------------------------------------------------------------------
 
-    def _indexed_fingerprints(self) -> set[str]:
-        """Return the fingerprints present in the SQLite index."""
-        conn = self._connection()
-        rows = conn.execute("SELECT DISTINCT fingerprint FROM stages").fetchall()
-        return {fp for (fp,) in rows}
+    @staticmethod
+    def _runs_query(stage: str | None) -> tuple[str, list]:
+        """Return the SQL (and parameters) selecting run fingerprints, by stage."""
+        if stage is None:
+            return "SELECT DISTINCT fingerprint FROM stages", []
+        return "SELECT fingerprint FROM stages WHERE stage = ?", [stage]
 
     def list_runs(
         self,
@@ -393,7 +328,7 @@ class RunStore:
         offset: int = 0,
         stage: str | None = None,
     ) -> list[dict]:
-        """Return one summary row per stored run, de-duplicated across layouts.
+        """Return one summary row per stored run.
 
         Parameters
         ----------
@@ -408,9 +343,8 @@ class RunStore:
         Returns
         -------
         list of dict
-            Rows sorted by fingerprint.  A run that exists in both the
-            SQLite index and the legacy directory layout appears exactly
-            once, its ``stages`` being the union of both layouts.
+            Rows sorted by fingerprint, each listing the run's stored
+            ``stages`` in pipeline order plus a summary of its job spec.
         """
         if stage is not None:
             _check_stage(stage)
@@ -418,23 +352,30 @@ class RunStore:
             raise ServiceError(f"offset must be non-negative, got {offset}")
         if limit is not None and limit < 0:
             raise ServiceError(f"limit must be non-negative, got {limit}")
-        fingerprints = sorted(self._indexed_fingerprints() | self._legacy_fingerprints())
+        runs, params = self._runs_query(stage)
+        # SQLite reads a negative LIMIT as "no limit".
+        params += [-1 if limit is None else limit, offset]
+        query = (
+            "SELECT s.fingerprint, s.stage, b.payload"
+            f" FROM ({runs} ORDER BY fingerprint LIMIT ? OFFSET ?) AS page"
+            " JOIN stages AS s ON s.fingerprint = page.fingerprint"
+            " LEFT JOIN blobs AS b ON s.stage = 'job' AND b.key = s.blob_key"
+            " ORDER BY s.fingerprint"
+        )
+        stored: dict[str, set[str]] = {}
+        jobs: dict[str, str] = {}
+        for fingerprint, name, job_text in self._connection().execute(query, params):
+            stored.setdefault(fingerprint, set()).add(name)
+            if job_text is not None:
+                jobs[fingerprint] = job_text
         rows: list[dict] = []
-        selected = 0
-        for fingerprint in fingerprints:
-            stages = self.completed_stages(fingerprint)
-            if stage is not None and stage not in stages:
-                continue
-            selected += 1
-            if selected <= offset:
-                continue
-            if limit is not None and len(rows) >= limit:
-                break
-            row: dict = {"fingerprint": fingerprint, "stages": list(stages)}
-            job = self._get_stage_row(fingerprint, "job")
-            if job is None:
-                job = self._legacy_stage(fingerprint, "job")
-            if job is not None:
+        for fingerprint, names in stored.items():
+            row: dict = {
+                "fingerprint": fingerprint,
+                "stages": [name for name in STAGES if name in names],
+            }
+            if fingerprint in jobs:
+                job = json.loads(jobs[fingerprint])
                 row["shots"] = job.get("shots")
                 row["seed"] = job.get("seed")
                 row["observable"] = job.get("observable")
@@ -447,14 +388,11 @@ class RunStore:
 
     def count_runs(self, stage: str | None = None) -> int:
         """Return the number of stored runs (optionally with a stage filter)."""
-        if stage is None:
-            return len(self._indexed_fingerprints() | self._legacy_fingerprints())
-        _check_stage(stage)
-        return sum(
-            1
-            for fingerprint in self._indexed_fingerprints() | self._legacy_fingerprints()
-            if stage in self.completed_stages(fingerprint)
-        )
+        if stage is not None:
+            _check_stage(stage)
+        runs, params = self._runs_query(stage)
+        query = f"SELECT COUNT(*) FROM ({runs})"
+        return self._connection().execute(query, params).fetchone()[0]
 
     # -- free-form artifacts ------------------------------------------------------------
 
@@ -488,9 +426,9 @@ class RunStore:
         _check_fingerprint(key)
         conn = self._connection()
         row = conn.execute("SELECT blob_key FROM artifacts WHERE key = ?", (key,)).fetchone()
-        if row is not None:
-            return self._get_blob(conn, row[0])
-        return self._read_legacy_json(self.root / "artifacts" / f"{key}.json")
+        if row is None:
+            return None
+        return self._get_blob(conn, row[0])
 
     # -- telemetry artifacts --------------------------------------------------------------
 
@@ -524,67 +462,7 @@ class RunStore:
         """Return a run's persisted per-stage profile, or ``None``."""
         return self.get_artifact(self.artifact_key(fingerprint, "profile"))
 
-    # -- migration + accounting ---------------------------------------------------------
-
-    def migrate_legacy(self, remove: bool = False) -> dict:
-        """Ingest every legacy per-file artifact into the SQLite index.
-
-        Parameters
-        ----------
-        remove:
-            Delete the legacy files after a successful ingest (the default
-            keeps them, so the migration is reversible by deleting
-            ``index.sqlite3``).
-
-        Returns
-        -------
-        dict
-            Counters: ``runs`` and ``stages`` ingested, ``artifacts``
-            ingested, and ``skipped`` stage files whose fingerprint+stage
-            was already indexed (the index wins — it is newer).
-        """
-        counters = {"runs": 0, "stages": 0, "artifacts": 0, "skipped": 0}
-        for fingerprint in sorted(self._legacy_fingerprints()):
-            directory = self.run_dir(fingerprint)
-            migrated_any = False
-            for stage in _ALL_STAGES:
-                path = directory / f"{stage}.json"
-                if not path.exists():
-                    continue
-                if self._get_stage_row(fingerprint, stage) is not None:
-                    counters["skipped"] += 1
-                else:
-                    payload = self._read_legacy_json(path)
-                    if payload is None:  # pragma: no cover - racing deletion
-                        continue
-                    self._put_stage_row(fingerprint, stage, payload)
-                    counters["stages"] += 1
-                    migrated_any = True
-                if remove:
-                    path.unlink()
-            if migrated_any:
-                counters["runs"] += 1
-            if remove and directory.exists() and not any(directory.iterdir()):
-                directory.rmdir()
-        artifacts_root = self.root / "artifacts"
-        if artifacts_root.exists():
-            conn = self._connection()
-            for path in sorted(artifacts_root.glob("*.json")):
-                key = path.stem
-                row = conn.execute(
-                    "SELECT 1 FROM artifacts WHERE key = ?", (key,)
-                ).fetchone()
-                if row is None:
-                    payload = self._read_legacy_json(path)
-                    if payload is None:  # pragma: no cover - racing deletion
-                        continue
-                    self.put_artifact(key, payload)
-                    counters["artifacts"] += 1
-                else:
-                    counters["skipped"] += 1
-                if remove:
-                    path.unlink()
-        return counters
+    # -- accounting ---------------------------------------------------------------------
 
     def stats(self) -> dict:
         """Return store accounting: row counts and the blob dedup ratio.
@@ -601,6 +479,5 @@ class RunStore:
             "blobs": blobs,
             "stage_rows": stage_rows,
             "artifact_rows": artifact_rows,
-            "legacy_runs": len(self._legacy_fingerprints()),
             "dedup_ratio": round(references / blobs, 4) if blobs else 1.0,
         }

@@ -20,7 +20,7 @@ modules can declare their instruments at import time without coordination.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from repro.exceptions import ReproError
 
@@ -281,6 +281,23 @@ class MetricsRegistry:
             for counter in counters
             for labelvalues, value in counter.samples()
         }
+
+    def call_counting(self, function: Callable, *args, **kwargs) -> tuple:
+        """Call ``function`` and return ``(result, increments)``.
+
+        ``increments`` holds every counter increment the call made in this
+        process, as ``{(name, labelvalues): amount}``.  A worker process
+        ships it with its result, and the parent folds it in with
+        :meth:`add_counter_samples`.
+        """
+        before = self.counter_samples()
+        result = function(*args, **kwargs)
+        increments = {
+            key: value - before.get(key, 0.0)
+            for key, value in self.counter_samples().items()
+            if value != before.get(key, 0.0)
+        }
+        return result, increments
 
     def add_counter_samples(self, increments: Mapping[tuple[str, tuple[str, ...]], float]) -> None:
         """Add ``{(name, labelvalues): amount}`` increments to the registered counters."""

@@ -241,6 +241,22 @@ class TestRunBatch:
         serial = SerialBackend()
         assert pool.run_batch(BATCH, shots, seed=5) == serial.run_batch(BATCH, shots, seed=5)
 
+    def test_process_pool_workers_report_counters(self):
+        """Gate applications made in worker processes reach this registry."""
+        from repro.telemetry.metrics import REGISTRY
+
+        def gate_applications():
+            counter = REGISTRY.get("repro_kernel_gate_applications_total")
+            return sum(value for _, value in counter.samples())
+
+        pool = ProcessPoolBackend(max_workers=2, chunk_size=1)
+        before = gate_applications()
+        pool.run_batch(BATCH[:2], [16, 16], seed=5)
+        after_run = gate_applications()
+        pool.exact_distributions(BATCH[:2])
+        assert after_run > before
+        assert gate_applications() > after_run
+
     def test_process_pool_single_chunk_inline(self):
         pool = ProcessPoolBackend(max_workers=2, chunk_size=len(BATCH))
         serial = SerialBackend()

@@ -9,7 +9,7 @@ from repro.cutting.cutter import CutLocation
 from repro.cutting.executor import build_sampling_model
 from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.overhead import nme_overhead, optimal_overhead
-from repro.cutting.virtual_distillation import DistilledTeleportWireCut, virtual_bell_decomposition
+from tests.reference.virtual_distillation import DistilledTeleportWireCut, virtual_bell_decomposition
 from repro.quantum.bell import bell_state, overlap_from_k, phi_k_density
 from repro.quantum.random import random_statevector
 

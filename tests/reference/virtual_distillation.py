@@ -18,6 +18,10 @@ This module implements the constructive side for pure resources ``|Φ_k⟩``:
   against the *direct* Theorem-2 construction (which needs no separate
   distillation step).
 
+The library never runs this code: it is a test reference, checked in
+``tests/cutting/test_virtual_distillation.py`` against
+:class:`~repro.cutting.NMEWireCut` and the exact uncut expectation.
+
 The decomposition follows Appendix B's Figure-7 construction read forwards:
 locally prepare a maximally entangled pair Φ_AB on the sender, then apply
 each Theorem-2 wire-cut term to "transmit" qubit B through the NME resource

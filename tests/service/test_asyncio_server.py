@@ -325,7 +325,7 @@ class TestHttpBasics:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(request, timeout=10)
         assert info.value.code == 400
-        assert "error" in json.loads(info.value.read())
+        assert "JSON" in json.loads(info.value.read())["error"]
 
     def test_keep_alive_serves_many_requests_per_connection(self, service):
         import http.client
@@ -348,5 +348,9 @@ class TestHttpBasics:
         first = service.submit(spec)
         second = service.submit(spec)
         assert first["job_id"] == second["job_id"]
-        service.wait(first["job_id"], timeout=120)
+        result = service.wait(first["job_id"], timeout=120)
+        # A resubmission after completion is not re-executed either.
+        third = service.submit(spec)
+        assert third["job_id"] == first["job_id"]
+        assert service.wait(third["job_id"], timeout=120)["value"] == result["value"]
         assert len(service.jobs()) == 1

@@ -1,14 +1,13 @@
-"""HTTP round-trip tests of the `repro serve` endpoint and its client."""
+"""HTTP round-trip tests of the `repro serve` endpoint and its client.
 
-import json
-import threading
-import urllib.error
-import urllib.request
+Transport-level cases (unknown paths, non-JSON bodies, keep-alive, dedup)
+live in ``test_asyncio_server.py::TestHttpBasics``.
+"""
 
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service import RunService, RunStore, ServiceClient, make_server
+from repro.service import RunService, RunStore, ServerThread, ServiceClient
 
 pytestmark = pytest.mark.integration
 
@@ -17,17 +16,13 @@ pytestmark = pytest.mark.integration
 def service(tmp_path):
     """A live HTTP service on a free port, with a store attached."""
     run_service = RunService(store=RunStore(tmp_path / "store"), workers=2)
-    server = make_server(host="127.0.0.1", port=0, service=run_service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
+    server = ServerThread(run_service)
+    url = server.start()
     try:
-        yield ServiceClient(f"http://{host}:{port}")
+        yield ServiceClient(url)
     finally:
-        server.shutdown()
-        server.server_close()
+        server.stop()
         run_service.close()
-        thread.join(timeout=10)
 
 
 class TestEndToEnd:
@@ -42,15 +37,6 @@ class TestEndToEnd:
         assert payload["total_shots"] == 1500
         assert payload["exact_value"] == pytest.approx(1.0)
         assert abs(payload["value"] - 1.0) < 0.5
-
-    def test_duplicate_submission_not_reexecuted(self, service, ghz_spec):
-        first_row = service.submit(ghz_spec())
-        first = service.wait(first_row["job_id"], timeout=120)
-        second_row = service.submit(ghz_spec())
-        assert second_row["job_id"] == first_row["job_id"]
-        second = service.wait(second_row["job_id"], timeout=120)
-        assert second["value"] == first["value"]
-        assert len(service.jobs()) == 1
 
     def test_health_and_runs(self, service, ghz_spec):
         health = service.health()
@@ -78,21 +64,13 @@ class TestErrorHandling:
         with pytest.raises(ServiceError, match="404"):
             service.status("missing")
 
-    def test_unknown_path_is_404(self, service):
-        with pytest.raises(ServiceError, match="404"):
-            service._request("/teapot")
-
-    def test_non_json_body_is_400(self, service):
-        request = urllib.request.Request(
-            f"{service.base_url}/jobs",
-            data=b"not json",
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
-        assert "JSON" in json.loads(excinfo.value.read())["error"]
+    def test_pending_result_is_202(self, service, ghz_spec, held_jobs):
+        row = service.submit(ghz_spec(shots=200))
+        status, payload = service._request(f"/jobs/{row['job_id']}/result", expect=(202,))
+        assert status == 202
+        assert payload["state"] in ("queued", "running")
+        held_jobs.set()
+        assert service.wait(row["job_id"], timeout=120)["total_shots"] == 200
 
     def test_failed_job_result_is_500(self, service, ghz_spec):
         bad_fleet = {"devices": [{"name": "tiny", "max_qubits": 1}]}

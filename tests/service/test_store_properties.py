@@ -3,9 +3,8 @@
 Three contracts the service relies on, pinned across adversarial payloads
 generated by hypothesis:
 
-* **Bitwise round-trips** — ``put``/``get`` (and legacy-layout migration)
-  return payloads whose canonical JSON is byte-identical to what was
-  stored, floats included; resume determinism rests on this.
+* **Bitwise round-trips** — ``put``/``get`` return payloads whose
+  canonical JSON is byte-identical to what was stored, floats included; resume determinism rests on this.
 * **Isolation** — content-addressed deduplication shares storage between
   identical payloads but never lets writes or deletes under one
   fingerprint affect another.
@@ -112,30 +111,6 @@ def test_dedup_never_crosses_fingerprints(
         store.delete_run(first)
         assert store.get_stage(first, stage) is None
         assert canonical_json(store.get_stage(second, stage)) == expected
-    finally:
-        store.close()
-
-
-@SETTINGS
-@given(payload=payloads, fingerprint=fingerprints, stage=stages)
-def test_legacy_migration_roundtrip_is_bitwise(tmp_path_factory, payload, fingerprint, stage):
-    """A legacy per-file layout migrates into the index bitwise-identically."""
-    root = tmp_path_factory.mktemp("store")
-    legacy_dir = root / "runs" / fingerprint[:2] / fingerprint
-    legacy_dir.mkdir(parents=True)
-    text = canonical_json(payload)
-    (legacy_dir / f"{stage}.json").write_text(text)
-
-    store = RunStore(root)
-    try:
-        # Read-through before migration.
-        assert canonical_json(store.get_stage(fingerprint, stage)) == text
-        counters = store.migrate_legacy(remove=True)
-        assert counters["runs"] == 1
-        assert counters["stages"] == 1
-        # After migration the legacy file is gone and the index serves it.
-        assert not (legacy_dir / f"{stage}.json").exists()
-        assert canonical_json(store.get_stage(fingerprint, stage)) == text
     finally:
         store.close()
 

@@ -240,22 +240,15 @@ class TestServiceCommands:
 
     @pytest.fixture
     def live_service(self, tmp_path):
-        import threading
-
-        from repro.service import RunService, RunStore, make_server
+        from repro.service import RunService, RunStore, ServerThread
 
         run_service = RunService(store=RunStore(tmp_path / "store"), workers=2)
-        server = make_server(host="127.0.0.1", port=0, service=run_service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address
+        server = ServerThread(run_service)
         try:
-            yield f"http://{host}:{port}"
+            yield server.start()
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             run_service.close()
-            thread.join(timeout=10)
 
     @pytest.mark.integration
     def test_jobs_submit_wait_status_list(self, capsys, live_service):

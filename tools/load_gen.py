@@ -17,8 +17,8 @@ Usage::
         --duration 3 --concurrency 8
 
 The summary is printed as JSON; :mod:`benchmarks.bench_service_load` imports
-:func:`run_load` directly to compare the asyncio server against the legacy
-threaded one.
+:func:`run_load` directly to hold the asyncio server to its throughput and
+latency floors.
 """
 
 from __future__ import annotations
@@ -138,8 +138,6 @@ def run_load(
     deadline = started + duration
 
     def worker() -> None:
-        # auto_open reconnects transparently when the server closes the
-        # connection (the legacy HTTP/1.0 server does, per request).
         conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
         local_submit: list[float] = []
         local_status: list[float] = []
