@@ -1,132 +1,110 @@
-"""Regression tests of the mixed store layout (legacy JSON dirs + SQLite rows).
+"""Regression tests of run listing over a store holding mixed run shapes.
 
-A store upgraded in place can hold runs in three shapes at once: legacy
-per-file directories only, SQLite index rows only, and runs present in both
-(a legacy run whose later stages were written after the upgrade).  The
-listing API must present a **single deduplicated paginated view** across all
-three, and ``repro store migrate`` must fold the legacy side in without
-touching indexed rows.
+Every run lives in the SQLite index, but not every run has the same rows: a
+submitted job that has not started has only its ``job`` row, a run written
+stage by stage (crash-resume, imports) may have stage rows and no ``job``
+row, and a finished run has both.  Runs whose payloads are identical share
+one blob.  The listing API must present a **single deduplicated paginated
+view** across all of them: one row per run, sorted by fingerprint, stages in
+pipeline order, the stage filter applied before pagination.
 """
 
 import pytest
 
 from repro.service import RunService, RunStore, ServerThread, ServiceClient
-from repro.utils.serialization import canonical_json
 
 pytestmark = pytest.mark.integration
 
-
-def _write_legacy_run(root, fingerprint: str, stages: dict) -> None:
-    """Write one run in the legacy ``runs/<fp[:2]>/<fp>/<stage>.json`` layout."""
-    run_dir = root / "runs" / fingerprint[:2] / fingerprint
-    run_dir.mkdir(parents=True, exist_ok=True)
-    for stage, payload in stages.items():
-        (run_dir / f"{stage}.json").write_text(canonical_json(payload))
+#: Stage-only runs and the stages written for each, deliberately out of
+#: pipeline order.  ``bb`` and ``cc`` write identical payloads, so they
+#: share blobs.
+STAGE_ONLY_RUNS = (
+    ("ee55555555", ("plan",)),
+    ("cc33333333", ("result", "plan")),
+    ("aa11111111", ("result", "rounds", "plan")),
+    ("dd44444444", ("plan",)),
+    ("bb22222222", ("result", "plan")),
+)
 
 
 @pytest.fixture
-def mixed_store(tmp_path):
-    """A store holding legacy-only, index-only and dual-layout runs.
+def mixed_store(tmp_path, ghz_spec):
+    """A store holding stage-only, job-only and job-plus-stage runs.
 
-    Fingerprints sort as: aa... (legacy), bb... (both), cc... (index),
-    dd... (legacy), ee... (index).
+    Yields the store and a dict naming the two job-backed fingerprints.
     """
-    root = tmp_path / "store"
-    _write_legacy_run(
-        root, "aa11111111", {"plan": {"cuts": 1}, "result": {"value": 0.25}}
-    )
-    _write_legacy_run(root, "bb22222222", {"plan": {"cuts": 2}})
-    _write_legacy_run(root, "dd44444444", {"plan": {"cuts": 4}})
-
-    store = RunStore(root)
-    # bb also gains an indexed result (the "upgraded mid-run" shape).
-    store.put_stage("bb22222222", "result", {"value": 0.5})
-    store.put_stage("cc33333333", "plan", {"cuts": 3})
-    store.put_stage("cc33333333", "result", {"value": 0.75})
-    store.put_stage("ee55555555", "plan", {"cuts": 5})
-    yield store
+    store = RunStore(tmp_path / "store")
+    for fingerprint, stages in STAGE_ONLY_RUNS:
+        for stage in stages:
+            store.put_stage(fingerprint, stage, {"stage": stage})
+    job_only = store.put_job(ghz_spec(seed=7))
+    finished = store.put_job(ghz_spec(seed=8))
+    store.put_stage(finished, "result", {"value": 1.0})
+    store.put_stage(finished, "plan", {"cuts": 2})
+    yield store, {"job_only": job_only, "finished": finished}
     store.close()
+
+
+def _fingerprints(rows):
+    return [row["fingerprint"] for row in rows]
 
 
 class TestMixedListing:
     def test_single_deduplicated_view(self, mixed_store):
-        rows = mixed_store.list_runs()
-        fingerprints = [row["fingerprint"] for row in rows]
-        # Every run appears exactly once, sorted, regardless of layout.
-        assert fingerprints == [
-            "aa11111111",
-            "bb22222222",
-            "cc33333333",
-            "dd44444444",
-            "ee55555555",
-        ]
-        assert mixed_store.count_runs() == 5
+        store, jobs = mixed_store
+        expected = sorted([fp for fp, _ in STAGE_ONLY_RUNS] + list(jobs.values()))
+        rows = store.list_runs()
+        # Every run appears exactly once, sorted, whatever rows it has; runs
+        # sharing a blob are still separate runs.
+        assert _fingerprints(rows) == expected
+        assert store.count_runs() == 7
 
-    def test_dual_layout_run_unions_stages(self, mixed_store):
-        (row,) = [r for r in mixed_store.list_runs() if r["fingerprint"] == "bb22222222"]
-        assert set(row["stages"]) == {"plan", "result"}
+    def test_dual_layout_run_unions_stages(self, mixed_store, ghz_spec):
+        store, jobs = mixed_store
+        rows = {row["fingerprint"]: row for row in store.list_runs()}
+        # A run with a job row and stage rows carries both the job summary
+        # and its stages, listed in pipeline order.
+        finished = rows[jobs["finished"]]
+        assert finished["stages"] == ["plan", "result"]
+        assert finished["seed"] == 8
+        assert finished["num_qubits"] == 4
+        # A job-only run lists no stages; a stage-only run has no summary.
+        assert rows[jobs["job_only"]]["stages"] == []
+        assert rows[jobs["job_only"]]["shots"] == ghz_spec().shots
+        assert rows["aa11111111"]["stages"] == ["plan", "rounds", "result"]
+        assert "shots" not in rows["aa11111111"]
 
     def test_pagination_spans_both_layouts(self, mixed_store):
-        first = mixed_store.list_runs(limit=2)
-        second = mixed_store.list_runs(limit=2, offset=2)
-        third = mixed_store.list_runs(limit=2, offset=4)
-        fingerprints = [r["fingerprint"] for r in first + second + third]
-        assert fingerprints == [r["fingerprint"] for r in mixed_store.list_runs()]
-        assert len(first) == 2 and len(second) == 2 and len(third) == 1
+        store, _ = mixed_store
+        rows = store.list_runs()
+        pages = [store.list_runs(limit=3, offset=offset) for offset in (0, 3, 6)]
+        assert [len(page) for page in pages] == [3, 3, 1]
+        assert pages[0] + pages[1] + pages[2] == rows
+        assert store.list_runs(limit=0) == []
+        assert store.list_runs(offset=7) == []
 
     def test_stage_filter_spans_both_layouts(self, mixed_store):
-        finished = mixed_store.list_runs(stage="result")
-        assert [r["fingerprint"] for r in finished] == [
-            "aa11111111",  # legacy result
-            "bb22222222",  # indexed result over a legacy plan
-            "cc33333333",  # indexed result
-        ]
-        assert mixed_store.count_runs(stage="result") == 3
+        store, jobs = mixed_store
+        finished = store.list_runs(stage="result")
+        assert _fingerprints(finished) == sorted(
+            ["aa11111111", "bb22222222", "cc33333333", jobs["finished"]]
+        )
+        assert store.count_runs(stage="result") == 4
+        # The stage filter applies before pagination.
+        assert store.list_runs(stage="result", limit=1, offset=1) == finished[1:2]
+        assert store.count_runs(stage="execution") == 0
 
     def test_http_runs_view_matches_store(self, mixed_store):
-        service = RunService(store=mixed_store, workers=1)
+        store, _ = mixed_store
+        service = RunService(store=store, workers=1)
         server = ServerThread(service)
         client = ServiceClient(server.start())
         try:
             rows = client.runs()
-            assert [r["fingerprint"] for r in rows] == [
-                r["fingerprint"] for r in mixed_store.list_runs()
-            ]
+            assert _fingerprints(rows) == _fingerprints(store.list_runs())
             page = client.runs(limit=2, offset=1)
-            assert [r["fingerprint"] for r in page] == ["bb22222222", "cc33333333"]
-            finished = client.runs(stage="result")
-            assert len(finished) == 3
+            assert _fingerprints(page) == _fingerprints(store.list_runs(limit=2, offset=1))
+            assert len(client.runs(stage="result")) == 4
         finally:
             server.stop()
             service.close()
-
-
-class TestMigration:
-    def test_migrate_folds_legacy_into_index(self, mixed_store):
-        before = [r["fingerprint"] for r in mixed_store.list_runs()]
-        counters = mixed_store.migrate_legacy(remove=True)
-        assert counters["runs"] == 3  # aa, bb, dd had legacy files
-        assert mixed_store.stats()["legacy_runs"] == 0
-        # The view is unchanged by migration — same runs, same stages.
-        assert [r["fingerprint"] for r in mixed_store.list_runs()] == before
-        assert canonical_json(mixed_store.get_stage("aa11111111", "result")) == canonical_json(
-            {"value": 0.25}
-        )
-
-    def test_migrate_keeps_indexed_rows_authoritative(self, mixed_store):
-        # bb's result exists only in the index; its legacy plan must migrate
-        # without overwriting the indexed result.
-        mixed_store.migrate_legacy(remove=False)
-        assert mixed_store.get_stage("bb22222222", "result") == {"value": 0.5}
-        assert mixed_store.get_stage("bb22222222", "plan") == {"cuts": 2}
-
-    def test_migrate_is_idempotent(self, mixed_store):
-        first = mixed_store.migrate_legacy(remove=False)
-        second = mixed_store.migrate_legacy(remove=False)
-        assert first["runs"] == 3
-        # A second pass ingests nothing new: every legacy stage file is
-        # already indexed and counts as skipped.
-        assert second["runs"] == 0
-        assert second["stages"] == 0
-        assert second["skipped"] == first["stages"] + first["skipped"]
-        assert mixed_store.count_runs() == 5

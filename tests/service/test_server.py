@@ -1,8 +1,8 @@
-"""HTTP round-trip tests of the `repro serve` endpoint and its client.
+"""HTTP round-trip tests of the `repro serve` endpoint and its client."""
 
-Transport-level cases (unknown paths, non-JSON bodies, keep-alive, dedup)
-live in ``test_asyncio_server.py::TestHttpBasics``.
-"""
+import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -38,6 +38,15 @@ class TestEndToEnd:
         assert payload["exact_value"] == pytest.approx(1.0)
         assert abs(payload["value"] - 1.0) < 0.5
 
+    def test_duplicate_submission_not_reexecuted(self, service, ghz_spec):
+        first_row = service.submit(ghz_spec())
+        first = service.wait(first_row["job_id"], timeout=120)
+        second_row = service.submit(ghz_spec())
+        assert second_row["job_id"] == first_row["job_id"]
+        second = service.wait(second_row["job_id"], timeout=120)
+        assert second["value"] == first["value"]
+        assert len(service.jobs()) == 1
+
     def test_health_and_runs(self, service, ghz_spec):
         health = service.health()
         assert health["status"] == "ok"
@@ -63,6 +72,22 @@ class TestErrorHandling:
     def test_unknown_job_is_404(self, service):
         with pytest.raises(ServiceError, match="404"):
             service.status("missing")
+
+    def test_unknown_path_is_404(self, service):
+        with pytest.raises(ServiceError, match="404"):
+            service._request("/teapot")
+
+    def test_non_json_body_is_400(self, service):
+        request = urllib.request.Request(
+            f"{service.base_url}/jobs",
+            data=b"not json",
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        assert "JSON" in json.loads(excinfo.value.read())["error"]
 
     def test_pending_result_is_202(self, service, ghz_spec, held_jobs):
         row = service.submit(ghz_spec(shots=200))

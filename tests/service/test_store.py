@@ -75,40 +75,6 @@ class TestRunListing:
         assert row["shots"] == spec.shots
         assert row["num_qubits"] == 4
 
-    def test_sorted_paginated_and_stage_filtered_view(self, store, ghz_spec):
-        # Stages are written out of pipeline order; rows list them in order.
-        for fingerprint, stages in (
-            ("ee55555555", ("plan",)),
-            ("cc33333333", ("result", "plan")),
-            ("aa11111111", ("result", "rounds", "plan")),
-            ("dd44444444", ("plan",)),
-            ("bb22222222", ("result", "plan")),
-        ):
-            for stage in stages:
-                store.put_stage(fingerprint, stage, {"stage": stage})
-        job_only = store.put_job(ghz_spec())
-        rows = store.list_runs()
-        expected = sorted(
-            ["aa11111111", "bb22222222", "cc33333333", "dd44444444", "ee55555555", job_only]
-        )
-        assert [row["fingerprint"] for row in rows] == expected
-        assert rows[expected.index("aa11111111")]["stages"] == ["plan", "rounds", "result"]
-        assert rows[expected.index(job_only)]["stages"] == []
-        assert store.count_runs() == 6
-        pages = [store.list_runs(limit=4, offset=offset) for offset in (0, 4)]
-        assert [len(page) for page in pages] == [4, 2]
-        assert pages[0] + pages[1] == rows
-        assert store.list_runs(limit=0) == []
-        assert store.list_runs(offset=6) == []
-        # The stage filter applies before pagination.
-        finished = store.list_runs(stage="result")
-        assert [row["fingerprint"] for row in finished] == [
-            "aa11111111", "bb22222222", "cc33333333",
-        ]
-        assert store.list_runs(stage="result", limit=1, offset=1) == finished[1:2]
-        assert store.count_runs(stage="result") == 3
-        assert store.count_runs(stage="execution") == 0
-
     def test_delete_run(self, store, ghz_spec):
         fingerprint = store.put_job(ghz_spec())
         assert store.delete_run(fingerprint)
