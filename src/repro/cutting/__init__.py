@@ -6,24 +6,21 @@ baselines are :class:`HaradaWireCut` (optimal entanglement-free cut, κ=3),
 :class:`TeleportationWireCut` (maximally entangled resource, κ=1).
 
 Cut *planning* (:func:`plan_cuts` / :func:`find_time_slice_cuts`) and the
-multi-wire tensor-product builder (:mod:`repro.cutting.multi_wire`) are the
-stages :class:`repro.pipeline.CutPipeline` composes; the single-cut
-executor (:mod:`repro.cutting.executor`) remains the fast path for the
+tensor-product builder and estimator (:mod:`repro.cutting.multi_wire`) are
+the stages :class:`repro.pipeline.CutPipeline` composes.  One cut is the
+one-location case of that builder and estimator; the exact-distribution
+sampling models of :mod:`repro.cutting.executor` build on them to sweep the
 paper's one-wire workloads.
 """
 
 from repro.cutting.base import GadgetWiring, WireCutProtocol, WireCutTerm
-from repro.cutting.cutter import CutLocation, CutTermCircuit, build_cut_circuits, cut_wire
+from repro.cutting.cutter import CutLocation
 from repro.cutting.executor import (
-    ESTIMATION_MODES,
-    CutExpectationResult,
     CutSamplingModel,
     TermSamplingModel,
     build_sampling_model,
     build_sampling_models,
     cut_expectation_value,
-    estimate_cut_expectation,
-    exact_cut_expectation,
     sampling_models_from_instances,
 )
 from repro.cutting.instances import (
@@ -47,6 +44,8 @@ from repro.cutting.gate_cutting import (
     estimate_gate_cut_expectation,
 )
 from repro.cutting.multi_wire import (
+    ESTIMATION_MODES,
+    CutExpectationResult,
     MultiCutTermCircuit,
     build_multi_cut_circuits,
     estimate_multi_cut_expectation,
@@ -104,16 +103,11 @@ __all__ = [
     "PengWireCut",
     "TeleportationWireCut",
     "nme_coefficients",
-    # cutter / executor
+    # cut locations / sampling models
     "CutLocation",
-    "CutTermCircuit",
-    "build_cut_circuits",
-    "cut_wire",
     "CutExpectationResult",
     "ESTIMATION_MODES",
-    "estimate_cut_expectation",
     "cut_expectation_value",
-    "exact_cut_expectation",
     "build_sampling_model",
     "build_sampling_models",
     "CutSamplingModel",

@@ -1,33 +1,21 @@
-"""Applying a wire-cut protocol to a circuit location.
+"""Where a wire is cut.
 
-:func:`build_cut_circuits` takes an (uncut) circuit, a :class:`CutLocation`
-identifying a wire (qubit + position in the instruction stream) and a
-:class:`~repro.cutting.base.WireCutProtocol`, and produces one executable
-circuit per QPD term.  Each term circuit contains:
-
-* the original instructions up to the cut (the *sender fragment*),
-* the term's gadget, which transfers the cut wire onto a fresh receiver
-  qubit using only local operations, classical communication and — for NME
-  protocols — a pre-shared resource pair,
-* the original instructions after the cut (the *receiver fragment*), with the
-  cut qubit remapped onto the receiver qubit.
-
-The sender/receiver partition is recorded so that a genuinely distributed
-execution (two devices exchanging classical messages) maps one-to-one onto
-the produced circuits; in this repository both fragments run inside one
-simulator, which is statistically equivalent (see DESIGN.md, substitutions).
+A :class:`CutLocation` names one wire of an (uncut) circuit and a point in
+its instruction stream.  :func:`repro.cutting.multi_wire.build_multi_cut_circuits`
+applies a wire-cut protocol at each given location: the instructions before
+the cut stay on the original wire (the *sender fragment*), the protocol's
+gadget transfers the wire onto a fresh receiver qubit using only local
+operations, classical communication and — for NME protocols — a pre-shared
+resource pair, and the instructions after the cut act on the receiver (the
+*receiver fragment*).  Both fragments run inside one simulator, which is
+statistically equivalent to two devices exchanging classical messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.exceptions import CuttingError
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.instruction import MEASURE, RESET
-from repro.cutting.base import GadgetWiring, WireCutProtocol, WireCutTerm
-
-__all__ = ["CutLocation", "CutTermCircuit", "build_cut_circuits", "cut_wire"]
+__all__ = ["CutLocation"]
 
 
 @dataclass(frozen=True)
@@ -47,143 +35,3 @@ class CutLocation:
 
     qubit: int
     position: int
-
-
-@dataclass(frozen=True)
-class CutTermCircuit:
-    """One executable circuit realising a single QPD term of a cut.
-
-    Attributes
-    ----------
-    circuit:
-        The full term circuit (sender fragment + gadget + receiver fragment).
-    term:
-        The protocol term this circuit realises.
-    term_index:
-        Index of the term within the protocol.
-    qubit_map:
-        Mapping from original (logical) qubit indices to the physical qubit
-        indices of ``circuit`` after the cut.
-    gadget_clbits:
-        Absolute classical-bit indices written by the gadget.
-    sign_clbits:
-        Absolute classical-bit indices whose parity multiplies measured
-        observables during post-processing.
-    sender_qubits / receiver_qubits:
-        The partition of physical qubits between the two devices a
-        distributed execution would use.
-    """
-
-    circuit: QuantumCircuit
-    term: WireCutTerm
-    term_index: int
-    qubit_map: dict[int, int]
-    gadget_clbits: tuple[int, ...]
-    sign_clbits: tuple[int, ...]
-    sender_qubits: tuple[int, ...] = field(default_factory=tuple)
-    receiver_qubits: tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def coefficient(self) -> float:
-        """The term's quasiprobability coefficient."""
-        return self.term.coefficient
-
-
-def _validate_location(circuit: QuantumCircuit, location: CutLocation) -> None:
-    if not 0 <= location.qubit < circuit.num_qubits:
-        raise CuttingError(
-            f"cut qubit {location.qubit} out of range for a {circuit.num_qubits}-qubit circuit"
-        )
-    if not 0 <= location.position <= len(circuit):
-        raise CuttingError(
-            f"cut position {location.position} out of range for a circuit with "
-            f"{len(circuit)} instructions"
-        )
-    for instruction in circuit.instructions[location.position :]:
-        if instruction.kind in (MEASURE, RESET) and location.qubit in instruction.qubits:
-            raise CuttingError(
-                "the cut qubit is measured or reset after the cut point; cut before "
-                "non-unitary operations on the wire"
-            )
-
-
-def build_cut_circuits(
-    circuit: QuantumCircuit,
-    location: CutLocation,
-    protocol: WireCutProtocol,
-) -> list[CutTermCircuit]:
-    """Return one :class:`CutTermCircuit` per QPD term of ``protocol``.
-
-    The original circuit is left untouched.
-    """
-    _validate_location(circuit, location)
-    term_circuits = []
-    for index, term in enumerate(protocol.terms):
-        term_circuits.append(_build_single_term(circuit, location, term, index, protocol.name))
-    return term_circuits
-
-
-def _build_single_term(
-    circuit: QuantumCircuit,
-    location: CutLocation,
-    term: WireCutTerm,
-    term_index: int,
-    protocol_name: str,
-) -> CutTermCircuit:
-    num_original = circuit.num_qubits
-    receiver_qubit = num_original
-    ancilla_qubits = tuple(range(num_original + 1, num_original + 1 + term.num_ancilla_qubits))
-    total_qubits = num_original + 1 + term.num_ancilla_qubits
-    clbit_offset = circuit.num_clbits
-    total_clbits = clbit_offset + term.num_gadget_clbits
-
-    cut_circuit = QuantumCircuit(
-        total_qubits, total_clbits, name=f"{circuit.name}_{protocol_name}_term{term_index}"
-    )
-
-    # Sender fragment: instructions before the cut, unchanged.
-    for instruction in circuit.instructions[: location.position]:
-        cut_circuit.append(instruction)
-
-    # The cut gadget.
-    wiring = GadgetWiring(
-        sender_qubit=location.qubit,
-        receiver_qubit=receiver_qubit,
-        ancilla_qubits=ancilla_qubits,
-        clbit_offset=clbit_offset,
-    )
-    term.build_gadget(cut_circuit, wiring)
-
-    # Receiver fragment: remaining instructions with the cut qubit remapped.
-    qubit_remap = {location.qubit: receiver_qubit}
-    for instruction in circuit.instructions[location.position :]:
-        cut_circuit.append(instruction.remap(qubit_remap))
-
-    qubit_map = {q: q for q in range(num_original)}
-    qubit_map[location.qubit] = receiver_qubit
-    gadget_clbits = tuple(range(clbit_offset, clbit_offset + term.num_gadget_clbits))
-    sign_clbits = tuple(clbit_offset + relative for relative in term.sign_clbits)
-
-    sender_qubits = tuple(range(num_original)) + ancilla_qubits
-    receiver_qubits = (receiver_qubit,)
-
-    return CutTermCircuit(
-        circuit=cut_circuit,
-        term=term,
-        term_index=term_index,
-        qubit_map=qubit_map,
-        gadget_clbits=gadget_clbits,
-        sign_clbits=sign_clbits,
-        sender_qubits=sender_qubits,
-        receiver_qubits=receiver_qubits,
-    )
-
-
-def cut_wire(
-    circuit: QuantumCircuit,
-    qubit: int,
-    position: int,
-    protocol: WireCutProtocol,
-) -> list[CutTermCircuit]:
-    """Convenience wrapper around :func:`build_cut_circuits`."""
-    return build_cut_circuits(circuit, CutLocation(qubit=qubit, position=position), protocol)

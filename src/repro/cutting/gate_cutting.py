@@ -358,9 +358,9 @@ def estimate_gate_cut_expectation(
 ):
     """Estimate a Pauli observable of ``circuit`` with the gate at ``gate_index`` cut.
 
-    Returns a :class:`~repro.cutting.executor.CutExpectationResult`.
+    Returns a :class:`~repro.cutting.multi_wire.CutExpectationResult`.
     """
-    from repro.cutting.executor import CutExpectationResult
+    from repro.cutting.multi_wire import CutExpectationResult
 
     rng = as_generator(seed)
     pauli = observable if isinstance(observable, PauliString) else PauliString(observable)

@@ -1,8 +1,9 @@
-"""Cutting several wires of one circuit.
+"""Cutting wires and estimating through the cuts, for any number of cuts.
 
 Cutting ``n`` wires independently multiplies the per-cut overheads
 (``κ_total = Π κ_i``), which is the exponential-in-cuts cost the paper's
-introduction motivates.  This module provides:
+introduction motivates.  One cut — the paper's own experiment (Section IV)
+— is the ``n = 1`` case of everything here.  This module provides:
 
 * :func:`build_multi_cut_circuits` — apply a (possibly different)
   single-wire protocol at each cut location; terms are the Cartesian product
@@ -10,19 +11,32 @@ introduction motivates.  This module provides:
   at different positions (a wire crossing several time slices is cut at each
   of them), which is what lets :func:`repro.cutting.cut_finding.plan_cuts`
   split a circuit into more than two fragments.
+* :func:`measured_multi_cut_circuit` — measure a term circuit in an
+  observable's basis, and :func:`exact_probabilities_plus` — the exact
+  probability of a +1 signed outcome of each measured term circuit.
 * :func:`estimate_multi_cut_expectation` — estimate an observable of the
-  multiply-cut circuit.  All term circuits are submitted to a
-  :class:`~repro.circuits.backends.SimulatorBackend` as one batch, so the
-  vectorized and process-pool backends accelerate multi-cut estimation
-  exactly as they do the single-cut executor; results are bitwise identical
-  across backends for the same seed.  This is the execute stage of
+  cut circuit.  All term circuits are submitted to a
+  :class:`~repro.circuits.backends.SimulatorBackend` as one batch
+  (:class:`BackendRoundExecutor` reduces the counts to per-term means), so
+  the vectorized and process-pool backends accelerate the estimate; results
+  are bitwise identical across backends for the same seed.  Its execute
+  step, :func:`execute_term_circuits` (static: the whole budget allocated up
+  front, the paper's procedure) and :func:`execute_term_circuits_adaptive`
+  (the round-structured engine of :mod:`repro.qpd.adaptive`, stopping at a
+  target standard error), is also the execute stage of
   :class:`repro.pipeline.CutPipeline`.
 * :func:`independent_cuts_decomposition` — the channel-level tensor-product
   QPD, for analytic comparisons.
-* overhead helpers re-exported from :mod:`repro.cutting.overhead` comparing
-  independent cutting (3ⁿ without entanglement) with the optimal joint
-  cutting bound (2^{n+1} − 1) of Brenner et al. [11], the future-work
-  direction the paper mentions for NME states.
+
+The procedure per estimate:
+
+1. build one circuit per product of QPD terms,
+2. split the total shot budget across the terms proportionally to the
+   coefficient magnitudes (other allocation strategies are available for the
+   ablation benchmarks),
+3. run each term circuit, measuring the observable on the receiver side
+   (plus any term-internal sign bits),
+4. recombine the per-term means with the signed coefficients (Eq. 12).
 """
 
 from __future__ import annotations
@@ -39,7 +53,6 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.expectation import _BASIS_CHANGE, exact_expectation
 from repro.cutting.base import GadgetWiring, WireCutProtocol
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import ESTIMATION_MODES, CutExpectationResult, _backend_round_executor
 from repro.qpd.adaptive import (
     DEFAULT_MAX_ROUNDS,
     AdaptiveConfig,
@@ -53,15 +66,120 @@ from repro.qpd.estimator import TermEstimate, combine_term_estimates
 from repro.quantum.paulis import PauliString
 from repro.utils.rng import SeedLike, as_generator
 
+#: Execution modes accepted by the estimation entry points.
+ESTIMATION_MODES = ("static", "adaptive")
+
 __all__ = [
+    "BackendRoundExecutor",
+    "CutExpectationResult",
+    "ESTIMATION_MODES",
     "MultiCutTermCircuit",
     "build_multi_cut_circuits",
     "estimate_multi_cut_expectation",
+    "exact_probabilities_plus",
     "execute_term_circuits",
     "execute_term_circuits_adaptive",
     "independent_cuts_decomposition",
     "measured_multi_cut_circuit",
 ]
+
+
+@dataclass(frozen=True)
+class CutExpectationResult:
+    """Result of estimating an observable through a wire cut.
+
+    Attributes
+    ----------
+    value:
+        The recombined expectation-value estimate.
+    standard_error:
+        Propagated standard error.
+    total_shots:
+        Shots actually spent (across all term circuits).
+    kappa:
+        Sampling-overhead factor of the protocol used.
+    shots_per_term:
+        Shots assigned to each term.
+    term_estimates:
+        Per-term empirical summaries.
+    protocol_name:
+        Name of the wire-cut protocol.
+    exact_value:
+        The exact (uncut) expectation value, when it was computed alongside
+        the estimate; ``None`` otherwise.
+    mode:
+        ``"static"`` (one up-front allocation) or ``"adaptive"`` (the
+        round-structured engine of :mod:`repro.qpd.adaptive`).
+    converged:
+        Adaptive mode only: whether the pooled standard error reached the
+        target before the budget ran out (``None`` in static mode).
+    rounds:
+        Adaptive mode only: the executed round records.
+    """
+
+    value: float
+    standard_error: float
+    total_shots: int
+    kappa: float
+    shots_per_term: tuple[int, ...]
+    term_estimates: tuple[TermEstimate, ...]
+    protocol_name: str
+    exact_value: float | None = None
+    mode: str = "static"
+    converged: bool | None = None
+    rounds: tuple[RoundRecord, ...] = ()
+
+    @property
+    def error(self) -> float | None:
+        """Absolute deviation from the exact value (Eq. 28), when available."""
+        if self.exact_value is None:
+            return None
+        return abs(self.value - self.exact_value)
+
+    @classmethod
+    def from_adaptive(
+        cls,
+        adaptive: AdaptiveResult,
+        protocol_name: str,
+        exact_value: float | None,
+    ) -> "CutExpectationResult":
+        """Freeze an engine result into the shared result type.
+
+        The single mapping used by every adaptive entry point (the
+        estimator here and the sampling-model fast path).
+        """
+        estimate = adaptive.estimate
+        return cls(
+            value=estimate.value,
+            standard_error=estimate.standard_error,
+            total_shots=estimate.total_shots,
+            kappa=estimate.kappa,
+            shots_per_term=tuple(t.shots for t in estimate.term_estimates),
+            term_estimates=estimate.term_estimates,
+            protocol_name=protocol_name,
+            exact_value=exact_value,
+            mode="adaptive",
+            converged=adaptive.converged,
+            rounds=adaptive.rounds,
+        )
+
+
+def _as_pauli(observable: str | PauliString, num_qubits: int) -> PauliString:
+    """Normalise the observable argument to a PauliString over the logical qubits."""
+    if isinstance(observable, PauliString):
+        pauli = observable
+    else:
+        pauli = PauliString(observable)
+    if pauli.num_qubits == 1 and num_qubits > 1:
+        # A single-letter observable refers to qubit 0, identity elsewhere.
+        pauli = PauliString(pauli.labels + "I" * (num_qubits - 1), pauli.phase)
+    if pauli.num_qubits != num_qubits:
+        raise CuttingError(
+            f"observable acts on {pauli.num_qubits} qubits, circuit has {num_qubits}"
+        )
+    if pauli.phase != 1:
+        raise CuttingError("observables with non-unit phase are not supported")
+    return pauli
 
 
 @dataclass(frozen=True)
@@ -266,6 +384,135 @@ def measured_multi_cut_circuit(
     return measured, observable_clbits + list(term_circuit.sign_clbits)
 
 
+def _probability_plus(distribution: dict[str, float], selected: list[int]) -> float:
+    """Exact probability of a +1 signed outcome (even parity of the selected bits)."""
+    probability_plus = 0.0
+    for bitstring, probability in distribution.items():
+        parity = sum(int(bitstring[c]) for c in selected) % 2
+        if parity == 0:
+            probability_plus += probability
+    return float(min(max(probability_plus, 0.0), 1.0))
+
+
+def exact_probabilities_plus(
+    term_circuits: Sequence[MultiCutTermCircuit],
+    paulis: Sequence[PauliString],
+    backend: SimulatorBackend,
+) -> list[float]:
+    """Return each term circuit's exact probability of a +1 signed outcome.
+
+    Every term circuit is measured in its observable's basis
+    (:func:`measured_multi_cut_circuit`) and the whole batch is simulated
+    exactly in one :meth:`~repro.circuits.backends.SimulatorBackend.exact_distributions`
+    call, so the vectorized backend stacks structurally identical circuits.
+
+    Parameters
+    ----------
+    term_circuits:
+        Term circuits, possibly of several original circuits.
+    paulis:
+        The observable of each term circuit, over its original circuit's
+        logical qubits.
+    backend:
+        The resolved execution backend.
+
+    Returns
+    -------
+    list[float]
+        ``p₊`` per term circuit: the probability that the parity of the
+        observable and sign bits is even.
+    """
+    measured = [measured_multi_cut_circuit(t, p) for t, p in zip(term_circuits, paulis)]
+    distributions = backend.exact_distributions([circuit for circuit, _ in measured])
+    return [
+        _probability_plus(distribution, selected)
+        for distribution, (_, selected) in zip(distributions, measured)
+    ]
+
+
+class BackendRoundExecutor:
+    """One round of a measured term-circuit batch on a simulator backend.
+
+    This is the counts-to-means reduction of every sampled estimate: the
+    static path runs it once with the whole allocation, the adaptive engine
+    once per round.  Each call submits the full measured-circuit batch with
+    the per-term shot counts (zero-shot terms keep the per-circuit seed
+    streams aligned) and reduces the counts to per-term signed means.  Terms
+    with no measured bits are deterministic +1 and never pay simulator shots.
+
+    The executor also implements the engine's distribution hook:
+    :meth:`distribute` lifts it into a
+    :class:`~repro.distributed.DistributedRoundExecutor` over the same
+    batch and backend, which produces bitwise-identical rounds through the
+    multi-process work-stealing pool.
+    """
+
+    def __init__(
+        self,
+        exec_backend: SimulatorBackend,
+        measured_circuits: list[QuantumCircuit],
+        selected_clbits: list[list[int]],
+    ) -> None:
+        self.backend = exec_backend
+        self.measured_circuits = list(measured_circuits)
+        self.selected_clbits = [list(bits) for bits in selected_clbits]
+
+    def __call__(self, index, round_shots, seed_sequence):
+        """Run one round's batch and reduce counts to per-term signed means."""
+        submitted = [
+            int(count) if selected else 0
+            for count, selected in zip(round_shots, self.selected_clbits)
+        ]
+        counts_per_term = self.backend.run_batch(
+            self.measured_circuits, submitted, seed=seed_sequence
+        )
+        means = []
+        for counts, selected, count in zip(counts_per_term, self.selected_clbits, round_shots):
+            if count == 0:
+                means.append(0.0)
+            elif selected:
+                means.append(counts.expectation_z(selected))
+            else:
+                means.append(1.0)
+        return means
+
+    def distribute(self, workers: int | None = None, **options):
+        """Return the distributed round executor over the same batch and backend.
+
+        Parameters
+        ----------
+        workers:
+            Worker-process count (the distributed default when ``None``).
+        options:
+            Forwarded to
+            :class:`~repro.distributed.DistributedRoundExecutor` (steal
+            policy, pool mode, simulated latencies, ...).
+        """
+        from repro.distributed import DistributedRoundExecutor
+
+        return DistributedRoundExecutor(
+            self.measured_circuits,
+            self.selected_clbits,
+            backend=self.backend,
+            workers=workers,
+            **options,
+        )
+
+
+def _measured_executor(
+    term_circuits: Sequence[MultiCutTermCircuit],
+    pauli: PauliString,
+    backend: SimulatorBackend | str | None,
+) -> BackendRoundExecutor:
+    """Measure every term circuit in the observable's basis and wrap the batch."""
+    measured = [measured_multi_cut_circuit(t, pauli) for t in term_circuits]
+    return BackendRoundExecutor(
+        resolve_backend(backend),
+        [circuit for circuit, _ in measured],
+        [selected for _, selected in measured],
+    )
+
+
 def execute_term_circuits(
     term_circuits: Sequence[MultiCutTermCircuit],
     pauli: PauliString,
@@ -309,41 +556,16 @@ def execute_term_circuits(
     probabilities = magnitudes / magnitudes.sum()
     shots_per_term = allocate_shots(probabilities, shots, strategy=allocation, seed=rng)
 
-    exec_backend = resolve_backend(backend)
-    measured_circuits: list[QuantumCircuit] = []
-    selected_clbits: list[list[int]] = []
-    for term_circuit in term_circuits:
-        measured, selected = measured_multi_cut_circuit(term_circuit, pauli)
-        measured_circuits.append(measured)
-        selected_clbits.append(selected)
-
-    # A term with no measured bits at all (e.g. the identity term of a
-    # zero-cut plan under an all-identity observable) has a deterministic
-    # +1 outcome: spend no simulator shots on it.  Submitting zeros keeps
-    # the per-circuit seed streams aligned, so cross-backend identity holds.
-    submitted_shots = [
-        int(count) if selected else 0
-        for count, selected in zip(shots_per_term, selected_clbits)
-    ]
-    counts_per_term = exec_backend.run_batch(measured_circuits, submitted_shots, seed=rng)
-    term_estimates = []
-    for term_circuit, term_shots, counts, selected in zip(
-        term_circuits, shots_per_term, counts_per_term, selected_clbits
-    ):
-        if term_shots == 0:
-            mean = 0.0
-        elif selected:
-            mean = counts.expectation_z(selected)
-        else:
-            mean = 1.0
-        term_estimates.append(
-            TermEstimate(
-                coefficient=term_circuit.coefficient,
-                mean=mean,
-                shots=int(term_shots),
-                label=term_circuit.label,
-            )
+    means = _measured_executor(term_circuits, pauli, backend)(0, shots_per_term, rng)
+    term_estimates = [
+        TermEstimate(
+            coefficient=term_circuit.coefficient,
+            mean=mean,
+            shots=int(term_shots),
+            label=term_circuit.label,
         )
+        for term_circuit, term_shots, mean in zip(term_circuits, shots_per_term, means)
+    ]
     return term_estimates, [int(s) for s in shots_per_term]
 
 
@@ -404,17 +626,9 @@ def execute_term_circuits_adaptive(
         Per-term summaries with running statistics, total shots per term,
         and the engine result (round records + convergence).
     """
-    exec_backend = resolve_backend(backend)
-    measured_circuits: list[QuantumCircuit] = []
-    selected_clbits: list[list[int]] = []
-    for term_circuit in term_circuits:
-        measured, selected = measured_multi_cut_circuit(term_circuit, pauli)
-        measured_circuits.append(measured)
-        selected_clbits.append(selected)
-
     adaptive = run_adaptive_rounds(
         [term.coefficient for term in term_circuits],
-        _backend_round_executor(exec_backend, measured_circuits, selected_clbits),
+        _measured_executor(term_circuits, pauli, backend),
         config,
         seed=seed,
         labels=[term.label for term in term_circuits],
@@ -445,8 +659,9 @@ def estimate_multi_cut_expectation(
     execution: str = "inprocess",
     workers: int | None = None,
 ) -> CutExpectationResult:
-    """Estimate a Pauli observable of a circuit with several wires cut.
+    """Estimate a Pauli observable of a circuit with one or more wires cut.
 
+    One location is the single-cut estimate of the paper's Section IV.
     The full tensor-product QPD term set is built, the shot budget is split
     across the product terms proportionally to the coefficient-magnitude
     products (or per ``allocation``), and all term circuits are executed as
@@ -461,7 +676,8 @@ def estimate_multi_cut_expectation(
     protocols:
         The single-wire protocol applied at each location.
     observable:
-        Pauli observable over the circuit's logical qubits.
+        Pauli observable over the circuit's logical qubits (a single letter
+        refers to qubit 0).
     shots:
         Total shot budget across all product-term circuits.  In adaptive
         mode this is the hard ceiling; fewer shots are spent when the
@@ -504,11 +720,7 @@ def estimate_multi_cut_expectation(
         raise CuttingError(f"unknown mode {mode!r}; expected one of {ESTIMATION_MODES}")
     if execution != "inprocess" and mode != "adaptive":
         raise CuttingError("distributed execution requires mode='adaptive'")
-    pauli = observable if isinstance(observable, PauliString) else PauliString(observable)
-    if pauli.num_qubits != circuit.num_qubits:
-        raise CuttingError(
-            f"observable acts on {pauli.num_qubits} qubits, circuit has {circuit.num_qubits}"
-        )
+    pauli = _as_pauli(observable, circuit.num_qubits)
     term_circuits = build_multi_cut_circuits(circuit, locations, protocols)
     exact_value = exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
     protocol_name = "+".join(p.name for p in protocols)

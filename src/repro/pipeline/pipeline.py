@@ -61,7 +61,6 @@ from repro.cutting.cut_finding import (
     plan_from_positions,
 )
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import ESTIMATION_MODES, _as_pauli, _probability_plus
 from repro.cutting.instances import (
     build_instance_table,
     execute_instances,
@@ -69,11 +68,13 @@ from repro.cutting.instances import (
     instance_support_reason,
 )
 from repro.cutting.multi_wire import (
+    ESTIMATION_MODES,
     MultiCutTermCircuit,
+    _as_pauli,
     build_multi_cut_circuits,
+    exact_probabilities_plus,
     execute_term_circuits,
     execute_term_circuits_adaptive,
-    measured_multi_cut_circuit,
 )
 from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.standard_cut import HaradaWireCut
@@ -848,18 +849,12 @@ class CutPipeline:
             )
             table.evaluate(self.backend)
             return table.contract_exact_value()
-        measured = []
-        selected_clbits = []
-        for term_circuit in decomposition.term_circuits:
-            circuit, selected = measured_multi_cut_circuit(term_circuit, pauli)
-            measured.append(circuit)
-            selected_clbits.append(selected)
-        distributions = self.backend.exact_distributions(measured)
+        term_circuits = decomposition.term_circuits
+        probabilities_plus = exact_probabilities_plus(
+            term_circuits, [pauli] * len(term_circuits), self.backend
+        )
         value = 0.0
-        for term_circuit, distribution, selected in zip(
-            decomposition.term_circuits, distributions, selected_clbits
-        ):
-            probability_plus = _probability_plus(distribution, selected)
+        for term_circuit, probability_plus in zip(term_circuits, probabilities_plus):
             value += term_circuit.coefficient * (2.0 * probability_plus - 1.0)
         return float(value)
 

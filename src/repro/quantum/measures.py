@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from repro.exceptions import DimensionError
 from repro.quantum.states import DensityMatrix, Statevector
@@ -61,7 +60,8 @@ def state_fidelity(
         raise DimensionError("states have different dimensions")
     if rho.shape == (2, 2):
         # Single-qubit closed form F = Tr[ρσ] + 2√(det ρ · det σ); exact and
-        # numerically stable where sqrtm loses precision near rank deficiency.
+        # numerically stable where the matrix square root loses precision near
+        # rank deficiency.
         # The 2×2 determinants are expanded directly: LAPACK's det underflows
         # to NaN on subnormal off-diagonal entries.
         cross = float(np.real(np.trace(rho @ sigma)))
@@ -71,9 +71,13 @@ def state_fidelity(
         if not np.isfinite(dets):
             dets = 0.0
         return float(cross + 2.0 * np.sqrt(max(dets, 0.0)))
-    sqrt_rho = sqrtm(rho)
-    inner = sqrtm(sqrt_rho @ sigma @ sqrt_rho)
-    return float(np.real(np.trace(inner)) ** 2)
+    # √ρ from the eigendecomposition of the Hermitian ρ; √ρ σ √ρ is Hermitian
+    # and positive semidefinite, so Tr√(·) is the sum of its eigenvalues'
+    # square roots.  Round-off can leave eigenvalues slightly negative: clip.
+    values, vectors = np.linalg.eigh(rho)
+    sqrt_rho = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
+    return float(np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2)
 
 
 def trace_distance(

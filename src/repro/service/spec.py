@@ -18,7 +18,7 @@ from repro.exceptions import GateError, ServiceError
 from repro.circuits.backends import BACKEND_NAMES, circuit_fingerprint, resolve_backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.serialization import circuit_from_payload, circuit_to_payload
-from repro.cutting.executor import ESTIMATION_MODES
+from repro.cutting.multi_wire import ESTIMATION_MODES
 from repro.qpd.adaptive import DEFAULT_MAX_ROUNDS, EXECUTION_MODES
 from repro.qpd.allocation import ALLOCATION_STRATEGIES
 from repro.quantum.paulis import PauliString

@@ -1,9 +1,10 @@
-"""Cross-backend determinism of the cut executor.
+"""Cross-backend determinism of estimation through one cut wire.
 
 The backend contract (see :mod:`repro.circuits.backends`) promises that the
 same seed produces the *same* :class:`CutExpectationResult` from every
 backend.  These tests pin that guarantee end-to-end through
-:func:`estimate_cut_expectation` and the sampling-model builders.
+:func:`estimate_multi_cut_expectation` with one cut location and the
+sampling-model builders.
 """
 
 import numpy as np
@@ -12,11 +13,8 @@ import pytest
 from repro.circuits import DistributionCache, ProcessPoolBackend, VectorizedBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import (
-    build_sampling_model,
-    build_sampling_models,
-    estimate_cut_expectation,
-)
+from repro.cutting.executor import build_sampling_model, build_sampling_models
+from repro.cutting.multi_wire import estimate_multi_cut_expectation
 from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.peng_cut import PengWireCut
 from repro.cutting.standard_cut import HaradaWireCut
@@ -53,13 +51,13 @@ class TestSerialVectorizedIdentical:
     def test_estimate_identical(self, protocol):
         circuit = _state_circuit(17)
         location = CutLocation(0, len(circuit))
-        serial = estimate_cut_expectation(
-            circuit, location, protocol, "Z", shots=1500, seed=42, backend="serial"
+        serial = estimate_multi_cut_expectation(
+            circuit, [location], [protocol], "Z", shots=1500, seed=42, backend="serial"
         )
-        vectorized = estimate_cut_expectation(
+        vectorized = estimate_multi_cut_expectation(
             circuit,
-            location,
-            protocol,
+            [location],
+            [protocol],
             "Z",
             shots=1500,
             seed=42,
@@ -71,13 +69,13 @@ class TestSerialVectorizedIdentical:
     def test_observables_identical(self, observable):
         circuit = _state_circuit(23)
         location = CutLocation(0, len(circuit))
-        serial = estimate_cut_expectation(
-            circuit, location, NMEWireCut(0.8), observable, shots=900, seed=5, backend="serial"
+        serial = estimate_multi_cut_expectation(
+            circuit, [location], [NMEWireCut(0.8)], observable, shots=900, seed=5, backend="serial"
         )
-        vectorized = estimate_cut_expectation(
+        vectorized = estimate_multi_cut_expectation(
             circuit,
-            location,
-            NMEWireCut(0.8),
+            [location],
+            [NMEWireCut(0.8)],
             observable,
             shots=900,
             seed=5,
@@ -90,13 +88,13 @@ class TestSerialVectorizedIdentical:
         circuit = _state_circuit(29)
         location = CutLocation(0, len(circuit))
         for shots in (1, 2):
-            serial = estimate_cut_expectation(
-                circuit, location, PengWireCut(), "Z", shots=shots, seed=8, backend="serial"
+            serial = estimate_multi_cut_expectation(
+                circuit, [location], [PengWireCut()], "Z", shots=shots, seed=8, backend="serial"
             )
-            vectorized = estimate_cut_expectation(
+            vectorized = estimate_multi_cut_expectation(
                 circuit,
-                location,
-                PengWireCut(),
+                [location],
+                [PengWireCut()],
                 "Z",
                 shots=shots,
                 seed=8,
@@ -130,17 +128,17 @@ class TestProcessPoolAgreement:
     def test_run_batch_agrees_with_serial(self):
         circuit = _state_circuit(31)
         location = CutLocation(0, len(circuit))
-        pool = estimate_cut_expectation(
+        pool = estimate_multi_cut_expectation(
             circuit,
-            location,
-            HaradaWireCut(),
+            [location],
+            [HaradaWireCut()],
             "Z",
             shots=600,
             seed=13,
             backend=ProcessPoolBackend(max_workers=2, chunk_size=1),
         )
-        serial = estimate_cut_expectation(
-            circuit, location, HaradaWireCut(), "Z", shots=600, seed=13, backend="serial"
+        serial = estimate_multi_cut_expectation(
+            circuit, [location], [HaradaWireCut()], "Z", shots=600, seed=13, backend="serial"
         )
         # The per-circuit stream contract makes even the pool exact, but the
         # required guarantee is statistical agreement within the error bars.

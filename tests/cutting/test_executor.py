@@ -1,4 +1,4 @@
-"""Unit tests for the cut executor (sampling and recombination)."""
+"""Unit tests for estimating through one cut wire (sampling and recombination)."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,8 @@ from repro.exceptions import CuttingError
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.expectation import exact_expectation
 from repro.cutting.cutter import CutLocation
-from repro.cutting.executor import (
-    build_sampling_model,
-    cut_expectation_value,
-    estimate_cut_expectation,
-    exact_cut_expectation,
-)
+from repro.cutting.executor import build_sampling_model, cut_expectation_value
+from repro.cutting.multi_wire import estimate_multi_cut_expectation
 from repro.cutting.nme_cut import NMEWireCut
 from repro.cutting.peng_cut import PengWireCut
 from repro.cutting.standard_cut import HaradaWireCut
@@ -31,18 +27,28 @@ def _state_circuit(seed: int) -> tuple[QuantumCircuit, float]:
     return circuit, float(np.real(state.expectation_value(z)))
 
 
+def _exact_one_cut(circuit, location, protocol, observable):
+    """The estimator's infinite-shot value through one cut."""
+    return build_sampling_model(circuit, location, protocol, observable).exact_cut_value()
+
+
+def _estimate_one_cut(circuit, location, protocol, observable, **options):
+    """Estimate through one cut: the one-location multi-cut estimator."""
+    return estimate_multi_cut_expectation(circuit, [location], [protocol], observable, **options)
+
+
 class TestExactReconstruction:
     @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.name)
     def test_single_qubit_z(self, protocol):
         circuit, exact = _state_circuit(3)
-        value = exact_cut_expectation(circuit, CutLocation(0, len(circuit)), protocol, "Z")
+        value = _exact_one_cut(circuit, CutLocation(0, len(circuit)), protocol, "Z")
         assert value == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("observable", ["X", "Y", "Z"])
     def test_all_single_qubit_paulis(self, observable):
         circuit, _ = _state_circuit(5)
         exact = exact_expectation(circuit, PauliString(observable))
-        value = exact_cut_expectation(
+        value = _exact_one_cut(
             circuit, CutLocation(0, len(circuit)), NMEWireCut(0.4), observable
         )
         assert value == pytest.approx(exact, abs=1e-9)
@@ -52,14 +58,14 @@ class TestExactReconstruction:
         circuit.ry(1.0, 0).cx(0, 1).rz(0.3, 1).h(0)
         exact = exact_expectation(circuit, PauliString("ZZ"))
         for protocol in (HaradaWireCut(), NMEWireCut(0.7)):
-            value = exact_cut_expectation(circuit, CutLocation(0, 2), protocol, "ZZ")
+            value = _exact_one_cut(circuit, CutLocation(0, 2), protocol, "ZZ")
             assert value == pytest.approx(exact, abs=1e-9)
 
     def test_cut_on_second_qubit(self):
         circuit = QuantumCircuit(2, 0)
         circuit.h(0).cx(0, 1).ry(0.8, 1)
         exact = exact_expectation(circuit, PauliString("IZ"))
-        value = exact_cut_expectation(circuit, CutLocation(1, 2), HaradaWireCut(), "IZ")
+        value = _exact_one_cut(circuit, CutLocation(1, 2), HaradaWireCut(), "IZ")
         assert value == pytest.approx(exact, abs=1e-9)
 
 
@@ -113,7 +119,7 @@ class TestSamplingModel:
 class TestEstimateCutExpectation:
     def test_finite_shot_accuracy(self):
         circuit, exact = _state_circuit(8)
-        result = estimate_cut_expectation(
+        result = _estimate_one_cut(
             circuit, CutLocation(0, 1), NMEWireCut(0.8), "Z", shots=40_000, seed=3
         )
         assert result.value == pytest.approx(exact, abs=0.05)
@@ -122,7 +128,7 @@ class TestEstimateCutExpectation:
 
     def test_shot_accounting(self):
         circuit, _ = _state_circuit(9)
-        result = estimate_cut_expectation(
+        result = _estimate_one_cut(
             circuit, CutLocation(0, 1), HaradaWireCut(), "Z", shots=999, seed=1
         )
         assert sum(result.shots_per_term) == 999
@@ -132,7 +138,7 @@ class TestEstimateCutExpectation:
     def test_allocation_strategies(self):
         circuit, _ = _state_circuit(10)
         for strategy in ("proportional", "multinomial", "uniform"):
-            result = estimate_cut_expectation(
+            result = _estimate_one_cut(
                 circuit,
                 CutLocation(0, 1),
                 NMEWireCut(0.5),
@@ -145,14 +151,14 @@ class TestEstimateCutExpectation:
 
     def test_protocol_name_recorded(self):
         circuit, _ = _state_circuit(11)
-        result = estimate_cut_expectation(
+        result = _estimate_one_cut(
             circuit, CutLocation(0, 1), PengWireCut(), "Z", shots=100, seed=0
         )
         assert result.protocol_name == "peng"
 
     def test_skip_exact_computation(self):
         circuit, _ = _state_circuit(12)
-        result = estimate_cut_expectation(
+        result = _estimate_one_cut(
             circuit, CutLocation(0, 1), HaradaWireCut(), "Z", shots=100, seed=0, compute_exact=False
         )
         assert result.exact_value is None
@@ -162,14 +168,14 @@ class TestEstimateCutExpectation:
         circuit = QuantumCircuit(2, 0)
         circuit.h(0)
         with pytest.raises(CuttingError):
-            estimate_cut_expectation(
+            _estimate_one_cut(
                 circuit, CutLocation(0, 1), HaradaWireCut(), "ZZZ", shots=10
             )
 
     def test_phased_observable_rejected(self):
         circuit, _ = _state_circuit(13)
         with pytest.raises(CuttingError):
-            estimate_cut_expectation(
+            _estimate_one_cut(
                 circuit, CutLocation(0, 1), HaradaWireCut(), PauliString("Z", phase=-1), shots=10
             )
 

@@ -121,14 +121,24 @@ class TestEstimateMultiCut:
         assert result.value == pytest.approx(exact, abs=0.08)
 
     def test_observable_size_check(self):
+        # A single letter means qubit 0 (identity elsewhere); any other
+        # length that differs from the circuit's is rejected.
         with pytest.raises(CuttingError):
             estimate_multi_cut_expectation(
                 _three_qubit_circuit(),
                 [CutLocation(0, 1)],
                 [HaradaWireCut()],
-                PauliString("Z"),
+                PauliString("ZZ"),
                 shots=10,
             )
+        single, padded = (
+            estimate_multi_cut_expectation(
+                _three_qubit_circuit(), [CutLocation(0, 1)], [HaradaWireCut()], observable,
+                shots=10, seed=0,
+            )
+            for observable in ("Z", "ZII")
+        )
+        assert single == padded
 
 
 class TestIndependentDecomposition:

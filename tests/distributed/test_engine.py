@@ -15,7 +15,7 @@ from repro.devices import DeviceFleet, NoiseModel, VirtualDevice
 from repro.distributed import DistributedRoundExecutor, WorkStealingScheduler
 from repro.exceptions import DecompositionError, DistributedError
 from repro.qpd.adaptive import AdaptiveConfig, TermStatistics, run_adaptive_rounds
-from repro.cutting.executor import BackendRoundExecutor
+from repro.cutting.multi_wire import BackendRoundExecutor
 from repro.telemetry.metrics import REGISTRY
 
 from utils.workloads import ghz_cut_workload

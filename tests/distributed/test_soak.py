@@ -9,7 +9,7 @@ import pytest
 from repro.distributed import STEAL_POLICIES, DistributedRoundExecutor
 from repro.qpd.adaptive import AdaptiveConfig, run_adaptive_rounds
 from repro.utils.serialization import payload_fingerprint
-from repro.cutting.executor import BackendRoundExecutor
+from repro.cutting.multi_wire import BackendRoundExecutor
 from repro.circuits.backends import resolve_backend
 
 from utils.workloads import ghz_cut_workload

@@ -10,13 +10,17 @@ from repro.cutting import (
     NMEWireCut,
     PengWireCut,
     TeleportationWireCut,
-    estimate_cut_expectation,
+    build_sampling_model,
     estimate_gate_cut_expectation,
     estimate_multi_cut_expectation,
-    exact_cut_expectation,
 )
 from repro.experiments import ghz_circuit, random_layered_circuit
 from repro.quantum import PauliString
+
+
+def _exact_through_cut(circuit, location, protocol, observable):
+    """The one-cut estimator's infinite-shot value."""
+    return build_sampling_model(circuit, location, protocol, observable).exact_cut_value()
 
 
 class TestGHZDistribution:
@@ -33,24 +37,24 @@ class TestGHZDistribution:
     )
     def test_exact_parity_reconstruction(self, circuit, protocol):
         observable = PauliString("ZZZZ")
-        value = exact_cut_expectation(circuit, CutLocation(1, 2), protocol, observable)
+        value = _exact_through_cut(circuit, CutLocation(1, 2), protocol, observable)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_finite_shot_estimate(self, circuit):
         observable = PauliString("ZZZZ")
-        result = estimate_cut_expectation(
-            circuit, CutLocation(1, 2), NMEWireCut.from_overlap(0.9), observable, shots=8000, seed=0
+        result = estimate_multi_cut_expectation(
+            circuit, [CutLocation(1, 2)], [NMEWireCut.from_overlap(0.9)], observable, shots=8000, seed=0
         )
         assert result.value == pytest.approx(1.0, abs=0.1)
 
     def test_xxxx_stabilizer(self, circuit):
         observable = PauliString("XXXX")
-        value = exact_cut_expectation(circuit, CutLocation(1, 2), NMEWireCut(0.6), observable)
+        value = _exact_through_cut(circuit, CutLocation(1, 2), NMEWireCut(0.6), observable)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_non_stabilizer_observable(self, circuit):
         observable = PauliString("ZIII")
-        value = exact_cut_expectation(circuit, CutLocation(1, 2), HaradaWireCut(), observable)
+        value = _exact_through_cut(circuit, CutLocation(1, 2), HaradaWireCut(), observable)
         assert value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -66,18 +70,18 @@ class TestRandomCircuits:
         # gates + 1 entangler = 5 instructions per layer for 3 qubits).
         location = CutLocation(qubit=1, position=4)
         for protocol in (HaradaWireCut(), NMEWireCut(0.7)):
-            value = exact_cut_expectation(circuit, location, protocol, observable)
+            value = _exact_through_cut(circuit, location, protocol, observable)
             assert value == pytest.approx(exact, abs=1e-9)
 
     def test_finite_shot_accuracy_tracks_kappa(self):
         circuit = random_layered_circuit(3, 2, seed=7)
         observable = PauliString("ZZZ")
         location = CutLocation(qubit=0, position=4)
-        harada = estimate_cut_expectation(
-            circuit, location, HaradaWireCut(), observable, shots=20_000, seed=11
+        harada = estimate_multi_cut_expectation(
+            circuit, [location], [HaradaWireCut()], observable, shots=20_000, seed=11
         )
-        teleport = estimate_cut_expectation(
-            circuit, location, TeleportationWireCut(), observable, shots=20_000, seed=11
+        teleport = estimate_multi_cut_expectation(
+            circuit, [location], [TeleportationWireCut()], observable, shots=20_000, seed=11
         )
         assert harada.error < 0.15
         assert teleport.error < 0.1
@@ -94,8 +98,8 @@ class TestMixedCutting:
         gate_result = estimate_gate_cut_expectation(
             circuit, 2, CZGateCut(), observable, shots=50_000, seed=3
         )
-        wire_result = estimate_cut_expectation(
-            circuit, CutLocation(0, 3), HaradaWireCut(), observable, shots=50_000, seed=3
+        wire_result = estimate_multi_cut_expectation(
+            circuit, [CutLocation(0, 3)], [HaradaWireCut()], observable, shots=50_000, seed=3
         )
         assert gate_result.value == pytest.approx(exact, abs=0.07)
         assert wire_result.value == pytest.approx(exact, abs=0.07)
@@ -123,5 +127,5 @@ class TestMixedCutting:
         circuit.ry(0.5, 0).cx(0, 1)
         observable = PauliString("IZ")
         exact = exact_expectation(circuit, observable)
-        value = exact_cut_expectation(circuit, CutLocation(0, 1), NMEWireCut(0.8), observable)
+        value = _exact_through_cut(circuit, CutLocation(0, 1), NMEWireCut(0.8), observable)
         assert value == pytest.approx(exact, abs=1e-9)

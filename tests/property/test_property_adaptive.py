@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.backends import resolve_backend
-from repro.cutting import CutLocation, NMEWireCut, estimate_cut_expectation
-from repro.cutting.cutter import build_cut_circuits
-from repro.cutting.executor import _as_pauli, _measured_term_circuit
+from repro.cutting import CutLocation, NMEWireCut, estimate_multi_cut_expectation
+from repro.cutting.multi_wire import build_multi_cut_circuits, measured_multi_cut_circuit
 from repro.experiments import ghz_circuit
 from repro.qpd.adaptive import AdaptiveConfig, run_adaptive_rounds
 from repro.qpd.allocation import NeymanPlanner, ProportionalPlanner, allocate_shots
 from repro.qpd.estimator import TermEstimate, combine_term_estimates
+from repro.quantum.paulis import PauliString
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -118,23 +118,23 @@ class TestBudgetProperties:
 def reference_static_estimate(circuit, location, protocol, observable, shots, seed, backend):
     """The pre-refactor static execution path, inlined verbatim.
 
-    This reproduces the original ``estimate_cut_expectation`` body (one
-    up-front proportional allocation, one batch, Eq.-12 recombination) so
-    the property test can prove ``mode="static"`` did not change a single
+    This reproduces the original single-cut estimator body (one up-front
+    proportional allocation, one batch, Eq.-12 recombination) so the
+    property test can prove ``mode="static"`` did not change a single
     seeded draw.
     """
     rng = np.random.default_rng(seed)
-    pauli = _as_pauli(observable, circuit.num_qubits)
+    pauli = PauliString(observable)
     decomposition = protocol.decomposition()
     shots_per_term = allocate_shots(decomposition.probabilities, shots, strategy="proportional", seed=rng)
-    term_circuits = build_cut_circuits(circuit, location, protocol)
+    term_circuits = build_multi_cut_circuits(circuit, [location], [protocol])
     exec_backend = resolve_backend(backend)
     measured_circuits = []
     selected_clbits = []
     for term_circuit in term_circuits:
-        measured, observable_clbits = _measured_term_circuit(term_circuit, pauli)
+        measured, selected = measured_multi_cut_circuit(term_circuit, pauli)
         measured_circuits.append(measured)
-        selected_clbits.append(list(observable_clbits) + list(term_circuit.sign_clbits))
+        selected_clbits.append(selected)
     counts_per_term = exec_backend.run_batch(
         measured_circuits, [int(s) for s in shots_per_term], seed=rng
     )
@@ -153,7 +153,7 @@ def reference_static_estimate(circuit, location, protocol, observable, shots, se
                 coefficient=term_circuit.coefficient,
                 mean=mean,
                 shots=int(term_shots),
-                label=term_circuit.term.label,
+                label=term_circuit.label,
             )
         )
     return combine_term_estimates(term_estimates)
@@ -171,10 +171,10 @@ class TestStaticModeIsBitwiseIdentical:
         circuit = ghz_circuit(3)
         location = CutLocation(qubit=1, position=2)
         protocol = NMEWireCut.from_overlap(overlap)
-        result = estimate_cut_expectation(
+        result = estimate_multi_cut_expectation(
             circuit,
-            location,
-            protocol,
+            [location],
+            [protocol],
             observable="ZZZ",
             shots=shots,
             seed=seed,
@@ -194,10 +194,10 @@ class TestStaticModeIsBitwiseIdentical:
         circuit = ghz_circuit(3)
         location = CutLocation(qubit=1, position=2)
         protocol = NMEWireCut.from_overlap(0.8)
-        result = estimate_cut_expectation(
+        result = estimate_multi_cut_expectation(
             circuit,
-            location,
-            protocol,
+            [location],
+            [protocol],
             observable="ZZZ",
             shots=2000,
             seed=123,

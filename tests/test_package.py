@@ -1,7 +1,11 @@
 """Package-level tests: metadata, exceptions, public API surface, examples."""
 
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -68,6 +72,34 @@ class TestSubpackageImports:
         package = importlib.import_module(module)
         for name in package.__all__:
             assert hasattr(package, name), f"{module}.{name} missing"
+
+    def test_every_module_imports_with_numpy_alone(self):
+        # pyproject.toml declares only numpy as a runtime dependency, so no
+        # module of the package may import another third-party package.
+        # ``__mp_main__`` is multiprocessing's alias of the main module.
+        script = textwrap.dedent(
+            """
+            import importlib, pkgutil, sys
+            import numpy, numpy.random, numpy.linalg
+
+            def top_level():
+                return {name.partition(".")[0] for name in sys.modules}
+
+            before = top_level()
+            import repro
+            for info in pkgutil.walk_packages(repro.__path__, "repro."):
+                importlib.import_module(info.name)
+            added = top_level() - before - set(sys.stdlib_module_names)
+            print(sorted(added - {"repro", "__mp_main__"}))
+            """
+        )
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
 
 class TestExamples:

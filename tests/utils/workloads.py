@@ -3,7 +3,8 @@
 The distributed suite repeatedly needs the raw ingredients of an adaptive
 estimation — the measured term-circuit batch, the selected classical bits
 and the QPD coefficients — without going through the full pipeline.  This
-module builds them once, the same way ``estimate_cut_expectation`` does.
+module builds them once, the same way ``estimate_multi_cut_expectation``
+does.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cutting import CutLocation, NMEWireCut
-from repro.cutting.cutter import build_cut_circuits
-from repro.cutting.executor import _as_pauli, _measured_term_circuit
+from repro.cutting.multi_wire import build_multi_cut_circuits, measured_multi_cut_circuit
 from repro.experiments import ghz_circuit
+from repro.quantum.paulis import PauliString
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,19 @@ class CutWorkload:
 def ghz_cut_workload(num_qubits: int = 3, overlap: float = 0.8) -> CutWorkload:
     """Build the measured batch of a GHZ(n) circuit cut once at qubit 1.
 
-    Returns the exact batch ``estimate_cut_expectation`` would execute, so
-    engine-level distributed tests exercise the real term structure (sign
-    bits, unmeasured identity terms and all).
+    Returns the exact batch ``estimate_multi_cut_expectation`` would
+    execute, so engine-level distributed tests exercise the real term
+    structure (sign bits, unmeasured identity terms and all).
     """
     circuit = ghz_circuit(num_qubits)
     location = CutLocation(qubit=1, position=2)
     protocol = NMEWireCut.from_overlap(overlap)
-    pauli = _as_pauli("Z" * num_qubits, num_qubits)
-    term_circuits = build_cut_circuits(circuit, location, protocol)
-    measured_circuits = []
-    selected_clbits = []
-    coefficients = []
-    labels = []
-    for term_circuit in term_circuits:
-        measured, observable_clbits = _measured_term_circuit(term_circuit, pauli)
-        measured_circuits.append(measured)
-        selected_clbits.append(list(observable_clbits) + list(term_circuit.sign_clbits))
-        coefficients.append(term_circuit.coefficient)
-        labels.append(term_circuit.term.label)
-    return CutWorkload(measured_circuits, selected_clbits, coefficients, labels)
+    pauli = PauliString("Z" * num_qubits)
+    term_circuits = build_multi_cut_circuits(circuit, [location], [protocol])
+    measured = [measured_multi_cut_circuit(term, pauli) for term in term_circuits]
+    return CutWorkload(
+        measured_circuits=[circuit for circuit, _ in measured],
+        selected_clbits=[selected for _, selected in measured],
+        coefficients=[term.coefficient for term in term_circuits],
+        labels=[term.label for term in term_circuits],
+    )

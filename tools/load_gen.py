@@ -16,9 +16,10 @@ Usage::
     PYTHONPATH=src python tools/load_gen.py --url http://127.0.0.1:8765 \
         --duration 3 --concurrency 8
 
-The summary is printed as JSON; :mod:`benchmarks.bench_service_load` imports
-:func:`run_load` directly to hold the asyncio server to its throughput and
-latency floors.
+The summary is printed as JSON.  :mod:`benchmarks.bench_service_load` runs
+this script in its own process, so the client threads do not share the
+server's interpreter lock, and holds the asyncio server to its throughput
+and latency floors from that summary.
 """
 
 from __future__ import annotations
