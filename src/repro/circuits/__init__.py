@@ -46,15 +46,11 @@ from repro.circuits.density_matrix_simulator import (
     DensityMatrixSimulator,
     simulate_density_matrix,
 )
-from repro.circuits.expectation import (
-    exact_expectation,
-    measurement_basis_change,
-    sampled_pauli_expectation,
-)
+from repro.circuits.expectation import exact_expectation
 from repro.circuits.instruction import Instruction
 from repro.circuits.kernels import clear_prepared_cache, prepared_cache_info
 from repro.circuits.serialization import circuit_from_payload, circuit_to_payload
-from repro.circuits.shot_simulator import ShotSimulator, run_and_sample
+from repro.circuits.shot_simulator import ShotSimulator
 from repro.circuits.statevector_simulator import StatevectorSimulator, simulate_statevector
 
 __all__ = [
@@ -69,10 +65,7 @@ __all__ = [
     "BranchedResult",
     "Branch",
     "ShotSimulator",
-    "run_and_sample",
     "exact_expectation",
-    "sampled_pauli_expectation",
-    "measurement_basis_change",
     "SimulatorBackend",
     "SerialBackend",
     "VectorizedBackend",

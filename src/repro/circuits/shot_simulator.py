@@ -20,7 +20,7 @@ from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
 from repro.quantum.states import Statevector
 from repro.utils.rng import SeedLike, as_generator
 
-__all__ = ["ShotSimulator", "run_and_sample"]
+__all__ = ["ShotSimulator"]
 
 
 class ShotSimulator:
@@ -53,12 +53,3 @@ class ShotSimulator:
             seed=rng,
         )
 
-
-def run_and_sample(
-    circuit: QuantumCircuit,
-    shots: int,
-    seed: SeedLike = None,
-    initial_state: Statevector | np.ndarray | None = None,
-) -> Counts:
-    """Convenience wrapper: sample ``circuit`` with a fresh :class:`ShotSimulator`."""
-    return ShotSimulator().run(circuit, shots, seed=seed, initial_state=initial_state)

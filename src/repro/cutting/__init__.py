@@ -5,12 +5,14 @@ baselines are :class:`HaradaWireCut` (optimal entanglement-free cut, κ=3),
 :class:`PengWireCut` (original Pauli-basis cut, κ=4) and
 :class:`TeleportationWireCut` (maximally entangled resource, κ=1).
 
-Cut *planning* (:func:`plan_cuts` / :func:`find_time_slice_cuts`) and the
-tensor-product builder and estimator (:mod:`repro.cutting.multi_wire`) are
-the stages :class:`repro.pipeline.CutPipeline` composes.  One cut is the
-one-location case of that builder and estimator; the exact-distribution
-sampling models of :mod:`repro.cutting.executor` build on them to sweep the
-paper's one-wire workloads.
+Cut *planning* (:func:`plan_cuts`, one planner for any number of
+fragments) and the tensor-product builder and term executor
+(:mod:`repro.cutting.multi_wire`) are the stages
+:class:`repro.pipeline.CutPipeline` composes.  One cut is the one-location
+case of that builder and executor, and gate cuts
+(:mod:`repro.cutting.gate_cutting`) run through the same executor; the
+exact-distribution sampling models of :mod:`repro.cutting.executor` build on
+them to sweep the paper's one-wire workloads.
 """
 
 from repro.cutting.base import GadgetWiring, WireCutProtocol, WireCutTerm
@@ -21,7 +23,6 @@ from repro.cutting.executor import (
     build_sampling_model,
     build_sampling_models,
     cut_expectation_value,
-    sampling_models_from_instances,
 )
 from repro.cutting.instances import (
     FragmentInstance,
@@ -33,7 +34,6 @@ from repro.cutting.instances import (
     execute_instances_adaptive,
     instance_support_reason,
     split_wire_cut_term,
-    supports_instance_dedup,
 )
 from repro.cutting.gate_cutting import (
     CZGateCut,
@@ -80,11 +80,8 @@ from repro.cutting.overhead import (
     teleportation_overhead,
 )
 from repro.cutting.cut_finding import (
-    CutPlan,
     Fragment,
     MultiCutPlan,
-    find_time_slice_cuts,
-    fragment_widths,
     plan_cuts,
     plan_from_locations,
     plan_from_positions,
@@ -146,20 +143,15 @@ __all__ = [
     "SplitGadget",
     "split_wire_cut_term",
     "instance_support_reason",
-    "supports_instance_dedup",
     "FragmentInstance",
     "InstanceStats",
     "InstanceTable",
     "build_instance_table",
     "execute_instances",
     "execute_instances_adaptive",
-    "sampling_models_from_instances",
     # automatic cut finding
-    "CutPlan",
     "Fragment",
     "MultiCutPlan",
-    "find_time_slice_cuts",
-    "fragment_widths",
     "plan_cuts",
     "plan_from_locations",
     "plan_from_positions",

@@ -17,19 +17,17 @@ qubits, while minimising the total sampling overhead:
   n identical single-wire cuts (Corollary 1 supplies κ as a function of the
   available entanglement).
 
-Two planners are provided:
+One planner, :func:`plan_cuts`, serves every fragment count: plans may
+contain several time slices (found by repeated bipartition of over-wide
+fragments), so a circuit can be split into more than two fragments, each
+below the device width, with n independent wire cuts and total overhead κⁿ.
+``max_fragments=2`` restricts it to single-slice plans — the paper's
+distribution scenario of splitting a circuit between two devices.
+:class:`repro.pipeline.CutPipeline` runs it as its plan stage;
+:func:`plan_from_positions` and :func:`plan_from_locations` wrap
+caller-chosen slices or cut locations into the same :class:`MultiCutPlan`.
 
-* :func:`find_time_slice_cuts` — the original single-slice search: all cuts
-  share one position in the instruction stream, yielding exactly two
-  fragments.  This is the regime the paper's distribution scenario targets
-  (split a circuit between two devices).
-* :func:`plan_cuts` — the generalisation used by
-  :class:`repro.pipeline.CutPipeline`: plans may contain several time
-  slices (found by repeated bipartition of over-wide fragments), so a
-  circuit can be split into more than two fragments, each below the device
-  width, with n independent wire cuts and total overhead κⁿ.
-
-Both searches are exact for the circuit sizes a statevector simulator can
+The search is exact for the circuit sizes a statevector simulator can
 handle anyway.
 """
 
@@ -43,48 +41,12 @@ from repro.cutting.cutter import CutLocation
 from repro.cutting.overhead import nme_overhead
 
 __all__ = [
-    "CutPlan",
     "Fragment",
     "MultiCutPlan",
-    "find_time_slice_cuts",
-    "fragment_widths",
     "plan_cuts",
     "plan_from_locations",
     "plan_from_positions",
 ]
-
-
-@dataclass(frozen=True)
-class CutPlan:
-    """A proposed set of wire cuts splitting a circuit into two fragments.
-
-    Attributes
-    ----------
-    locations:
-        The wire-cut locations (all sharing the same instruction position).
-    front_qubits / back_qubits:
-        Qubits whose remaining instructions execute on the first / second
-        device.  Cut qubits appear in both (their wire continues on a
-        receiver qubit in the back fragment).
-    front_width / back_width:
-        Number of physical qubits each device needs, *including* the receiver
-        qubits for incoming cut wires (but excluding protocol ancillas, which
-        depend on the protocol chosen later).
-    sampling_overhead:
-        Product of the per-cut κ values used for ranking.
-    """
-
-    locations: tuple[CutLocation, ...]
-    front_qubits: tuple[int, ...]
-    back_qubits: tuple[int, ...]
-    front_width: int
-    back_width: int
-    sampling_overhead: float
-
-    @property
-    def num_cuts(self) -> int:
-        """Number of wire cuts in the plan."""
-        return len(self.locations)
 
 
 @dataclass(frozen=True)
@@ -174,21 +136,6 @@ def _wire_usage(circuit: QuantumCircuit) -> dict[int, tuple[int, int]]:
             first, _ = usage.get(qubit, (index, index))
             usage[qubit] = (first, index)
     return usage
-
-
-def fragment_widths(circuit: QuantumCircuit, position: int, cut_qubits: set[int]) -> tuple[int, int]:
-    """Return (front, back) fragment widths for a time-slice cut at ``position``.
-
-    The front fragment holds every qubit touched before the cut; the back
-    fragment holds every qubit touched after the cut, where each *cut* qubit
-    contributes a fresh receiver wire.
-    """
-    front = _touched_qubits(circuit, 0, position)
-    back = _touched_qubits(circuit, position, len(circuit))
-    # Qubits used after the cut but never cut must live entirely on the back
-    # device; qubits used on both sides and not cut force the fragments to
-    # overlap (handled by the caller as an invalid plan).
-    return len(front), len(back)
 
 
 def _per_cut_kappa(entanglement_overlap: float | None) -> float:
@@ -498,72 +445,3 @@ def plan_cuts(
     )
     return valid
 
-
-def find_time_slice_cuts(
-    circuit: QuantumCircuit,
-    max_fragment_width: int,
-    entanglement_overlap: float | None = None,
-    max_cuts: int | None = None,
-) -> list[CutPlan]:
-    """Enumerate valid single-slice cut plans, best (lowest overhead) first.
-
-    This is the two-fragment special case of :func:`plan_cuts`, kept as the
-    paper's distribution scenario (split a circuit between exactly two
-    devices at one point in time).
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to split (measurement-free on the wires to be cut).
-    max_fragment_width:
-        Maximum number of qubits either device can hold (receiver qubits for
-        cut wires count; protocol ancillas do not).
-    entanglement_overlap:
-        Entanglement level ``f(Φ_k)`` available between the devices; ``None``
-        means no entanglement (κ = 3 per cut).  Used only to rank plans by
-        total sampling overhead.
-    max_cuts:
-        Optional upper bound on the number of simultaneous cuts.
-
-    Returns
-    -------
-    list[CutPlan]
-        All valid plans sorted by (overhead, number of cuts).  Empty when the
-        circuit cannot be split at any time slice under the width constraint.
-    """
-    if max_fragment_width < 1:
-        raise CuttingError("max_fragment_width must be at least 1")
-    per_cut_kappa = _per_cut_kappa(entanglement_overlap)
-
-    plans: list[CutPlan] = []
-    num_instructions = len(circuit)
-    for position in range(1, num_instructions):
-        front = _touched_qubits(circuit, 0, position)
-        back = _touched_qubits(circuit, position, num_instructions)
-        # Wires crossing the slice must be cut.
-        crossing = front & back
-        if max_cuts is not None and len(crossing) > max_cuts:
-            continue
-        if not crossing:
-            # The circuit already factorises at this slice; no cut needed, so
-            # it is not a cutting plan (callers can split trivially).
-            continue
-        front_width = len(front)
-        # The back fragment needs one fresh receiver wire per cut plus its
-        # other (uncut) wires.
-        back_width = len(back)
-        if front_width > max_fragment_width or back_width > max_fragment_width:
-            continue
-        locations = tuple(CutLocation(qubit=q, position=position) for q in sorted(crossing))
-        plans.append(
-            CutPlan(
-                locations=locations,
-                front_qubits=tuple(sorted(front)),
-                back_qubits=tuple(sorted(back)),
-                front_width=front_width,
-                back_width=back_width,
-                sampling_overhead=float(per_cut_kappa ** len(crossing)),
-            )
-        )
-    plans.sort(key=lambda plan: (plan.sampling_overhead, plan.num_cuts, plan.locations[0].position))
-    return plans

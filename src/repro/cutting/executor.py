@@ -1,8 +1,13 @@
 """The exact-distribution sweep path and the paper's single-qubit entry point.
 
-Estimating through cut wires has one builder and one sampled estimator,
-both in :mod:`repro.cutting.multi_wire`; one cut is the one-location case.
-This module adds two things on top of them:
+Estimating through cuts has one builder and one term executor, both in
+:mod:`repro.cutting.multi_wire`; one wire cut is the one-location case, and
+gate cuts (:mod:`repro.cutting.gate_cutting`) run through the same executor.
+Every sampled estimate measures its term circuits with
+:func:`~repro.cutting.multi_wire.measured_multi_cut_circuit` and reduces
+counts to signed means in one place,
+:class:`~repro.cutting.multi_wire.BackendRoundExecutor`.  This module adds
+two things on top of them:
 
 * :class:`CutSamplingModel` (via :func:`build_sampling_model`, or
   :func:`build_sampling_models` for whole workloads at once) — a fast path
@@ -20,12 +25,10 @@ This module adds two things on top of them:
   experiments (Section IV): a single-qubit state sent through one cut wire,
   estimated by :func:`~repro.cutting.multi_wire.estimate_multi_cut_expectation`.
 
-Multi-cut plans get the same exact-distribution fast path through the
+Multi-cut plans get their exact-distribution fast path from the
 instance-dedup layer (:mod:`repro.cutting.instances`): the unique
-(fragment, basis-config) subcircuit instances are simulated once, each
-product term's ``p₊`` is chained from the shared fragment tensors, and
-:func:`sampling_models_from_instances` bridges an evaluated table into the
-:class:`TermSamplingModel` machinery below.
+(fragment, basis-config) subcircuit instances are simulated once and each
+product term's ``p₊`` is chained from the shared fragment tensors.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "CutSamplingModel",
     "TermSamplingModel",
     "cut_expectation_value",
-    "sampling_models_from_instances",
 ]
 
 
@@ -330,43 +332,6 @@ def build_sampling_model(
     distributions give the exact probability of a +1 signed outcome per term.
     """
     return build_sampling_models([circuit], location, protocol, observable, backend=backend)[0]
-
-
-def sampling_models_from_instances(table, backend=None) -> list[TermSamplingModel]:
-    """Bridge an instance table into the per-term sampling-model machinery.
-
-    The table (a :class:`repro.cutting.instances.InstanceTable`; accepted
-    structurally to keep this module import-light) is evaluated once through
-    ``backend``, then every QPD product term's exact ``p₊`` is chained from
-    the shared fragment tensors — so a full multi-cut term set becomes a
-    list of :class:`TermSamplingModel` objects without ever materialising
-    the monolithic term circuits.
-
-    Parameters
-    ----------
-    table:
-        An :class:`~repro.cutting.instances.InstanceTable` (evaluated or
-        not; evaluation is idempotent).
-    backend:
-        Execution backend (name or instance) for the instance evaluation;
-        ``None`` selects the serial backend.
-
-    Returns
-    -------
-    list[TermSamplingModel]
-        One exact sampling model per QPD product term, in the monolithic
-        product order.
-    """
-    table.evaluate(backend)
-    return [
-        TermSamplingModel(
-            coefficient=table.term_coefficient(assignment),
-            probability_plus=table.term_probability_plus(assignment),
-            label=table.term_label(assignment),
-            consumes_entangled_pair=table.term_entangled_pairs(assignment) > 0,
-        )
-        for assignment in table.term_assignments()
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,16 @@ terms).  The identity follows from
 The overhead is ``κ = 1 + 2|sin 2θ|``, i.e. κ = 3 for CZ — the known optimal
 value, matching the entanglement-free wire cut.  The decomposition is
 verified numerically at construction time, and the gadget builders realise
-each term with mid-circuit measurements and local rotations so gate cuts can
-be executed end-to-end on the shot simulator and compared against wire cuts
-in the ablation benchmarks.
+each term with mid-circuit measurements and local rotations.
+
+A gate cut is executed by the wire cut's term executor:
+:func:`build_gate_cut_circuits` returns the same
+:class:`~repro.cutting.multi_wire.MultiCutTermCircuit` records as
+:func:`~repro.cutting.multi_wire.build_multi_cut_circuits` (with an identity
+qubit map, since a gate cut adds no qubits), and
+:func:`estimate_gate_cut_expectation` measures, runs and recombines them
+through :func:`~repro.cutting.multi_wire.execute_term_circuits` — one
+observable measurement and one counts-to-means reduction for every cut.
 """
 
 from __future__ import annotations
@@ -36,14 +43,17 @@ import numpy as np
 
 from repro.exceptions import CuttingError
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.expectation import _BASIS_CHANGE, exact_expectation
-from repro.circuits.shot_simulator import ShotSimulator
-from repro.qpd.allocation import allocate_shots
+from repro.circuits.expectation import exact_expectation
+from repro.cutting.multi_wire import (
+    CutExpectationResult,
+    MultiCutTermCircuit,
+    _as_pauli,
+    _estimate_static,
+)
 from repro.qpd.decomposition import QuasiProbDecomposition
-from repro.qpd.estimator import TermEstimate, combine_term_estimates
 from repro.qpd.terms import QPDTerm
 from repro.quantum.paulis import PauliString
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "GateCutTerm",
@@ -52,7 +62,6 @@ __all__ = [
     "CZGateCut",
     "build_gate_cut_circuits",
     "estimate_gate_cut_expectation",
-    "GateCutTermCircuit",
 ]
 
 # Local building blocks.
@@ -292,31 +301,23 @@ class CZGateCut(GateCutProtocol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GateCutTermCircuit:
-    """One executable circuit realising a single term of a gate cut."""
-
-    circuit: QuantumCircuit
-    term: GateCutTerm
-    term_index: int
-    sign_clbits: tuple[int, ...]
-
-    @property
-    def coefficient(self) -> float:
-        """The term's quasiprobability coefficient."""
-        return self.term.coefficient
-
-
 def build_gate_cut_circuits(
     circuit: QuantumCircuit,
     gate_index: int,
     protocol: GateCutProtocol,
-) -> list[GateCutTermCircuit]:
+) -> list[MultiCutTermCircuit]:
     """Replace the two-qubit gate at ``gate_index`` by each QPD term's gadget.
 
     The gate at ``gate_index`` must act on exactly two qubits; its unitary is
     not inspected — the caller chooses a protocol matching the gate (use
     :class:`CZGateCut` for ``cz``, :class:`ZZGateCut` for ``rzz``).
+
+    Returns
+    -------
+    list[MultiCutTermCircuit]
+        One term circuit per protocol term, in term order: ``term_indices``
+        is ``(i,)``, ``labels`` is the term's label and ``qubit_map`` is the
+        identity (the gadgets act in place on the gate's qubits).
     """
     if not 0 <= gate_index < len(circuit):
         raise CuttingError(f"gate_index {gate_index} out of range")
@@ -337,10 +338,14 @@ def build_gate_cut_circuits(
                 term.gadget_builder(new_circuit, qubit_a, qubit_b, clbit_offset)
             else:
                 new_circuit.append(instruction)
-        sign_clbits = tuple(clbit_offset + rel for rel in term.sign_clbits)
         results.append(
-            GateCutTermCircuit(
-                circuit=new_circuit, term=term, term_index=index, sign_clbits=sign_clbits
+            MultiCutTermCircuit(
+                circuit=new_circuit,
+                coefficient=term.coefficient,
+                term_indices=(index,),
+                qubit_map={q: q for q in range(circuit.num_qubits)},
+                sign_clbits=tuple(clbit_offset + rel for rel in term.sign_clbits),
+                labels=(term.label,),
             )
         )
     return results
@@ -355,64 +360,24 @@ def estimate_gate_cut_expectation(
     allocation: str = "proportional",
     seed: SeedLike = None,
     compute_exact: bool = True,
-):
+) -> CutExpectationResult:
     """Estimate a Pauli observable of ``circuit`` with the gate at ``gate_index`` cut.
 
-    Returns a :class:`~repro.cutting.multi_wire.CutExpectationResult`.
+    The term circuits of :func:`build_gate_cut_circuits` go through the wire
+    cut's static estimate (:func:`~repro.cutting.multi_wire.execute_term_circuits`
+    on the serial backend, then
+    :func:`~repro.qpd.estimator.combine_term_estimates`), so the observable
+    takes the same forms as there: a single letter refers to qubit 0.
     """
-    from repro.cutting.multi_wire import CutExpectationResult
-
-    rng = as_generator(seed)
-    pauli = observable if isinstance(observable, PauliString) else PauliString(observable)
-    if pauli.num_qubits != circuit.num_qubits:
-        raise CuttingError(
-            f"observable acts on {pauli.num_qubits} qubits, circuit has {circuit.num_qubits}"
-        )
-    decomposition = protocol.decomposition()
-    shots_per_term = allocate_shots(decomposition.probabilities, shots, strategy=allocation, seed=rng)
-    term_circuits = build_gate_cut_circuits(circuit, gate_index, protocol)
-    simulator = ShotSimulator()
-
-    term_estimates = []
-    for term_circuit, term_shots in zip(term_circuits, shots_per_term):
-        if term_shots == 0:
-            term_estimates.append(
-                TermEstimate(
-                    coefficient=term_circuit.coefficient, mean=0.0, shots=0, label=term_circuit.term.label
-                )
-            )
-            continue
-        base = term_circuit.circuit
-        active = [(q, p) for q, p in enumerate(pauli.labels) if p != "I"]
-        measured = QuantumCircuit(base.num_qubits, base.num_clbits + len(active))
-        measured.compose(base, inplace=True)
-        observable_clbits = []
-        for offset, (qubit, label) in enumerate(active):
-            for gate_name, params in _BASIS_CHANGE[label]:
-                measured.gate(gate_name, qubit, params)
-            clbit = base.num_clbits + offset
-            measured.measure(qubit, clbit)
-            observable_clbits.append(clbit)
-        counts = simulator.run(measured, shots=int(term_shots), seed=rng)
-        selected = observable_clbits + list(term_circuit.sign_clbits)
-        mean = counts.expectation_z(selected) if selected else 1.0
-        term_estimates.append(
-            TermEstimate(
-                coefficient=term_circuit.coefficient,
-                mean=mean,
-                shots=int(term_shots),
-                label=term_circuit.term.label,
-            )
-        )
-    estimate = combine_term_estimates(term_estimates)
+    pauli = _as_pauli(observable, circuit.num_qubits)
     exact_value = exact_expectation(circuit, pauli.to_matrix()) if compute_exact else None
-    return CutExpectationResult(
-        value=estimate.value,
-        standard_error=estimate.standard_error,
-        total_shots=estimate.total_shots,
-        kappa=estimate.kappa,
-        shots_per_term=tuple(int(s) for s in shots_per_term),
-        term_estimates=estimate.term_estimates,
+    return _estimate_static(
+        build_gate_cut_circuits(circuit, gate_index, protocol),
+        pauli,
+        shots,
+        allocation=allocation,
+        seed=seed,
+        backend=None,
         protocol_name=protocol.name,
         exact_value=exact_value,
     )

@@ -52,7 +52,7 @@ from repro.circuits.expectation import _BASIS_CHANGE
 from repro.circuits.instruction import Instruction
 from repro.cutting.base import GadgetWiring, WireCutProtocol, WireCutTerm
 from repro.cutting.cut_finding import MultiCutPlan, _wire_usage
-from repro.cutting.executor import _as_pauli
+from repro.cutting.multi_wire import _as_pauli
 from repro.qpd.adaptive import (
     AdaptiveConfig,
     AdaptiveResult,
@@ -69,7 +69,6 @@ __all__ = [
     "SplitGadget",
     "split_wire_cut_term",
     "instance_support_reason",
-    "supports_instance_dedup",
     "FragmentInstance",
     "InstanceStats",
     "InstanceTable",
@@ -245,15 +244,6 @@ def instance_support_reason(
                     "spanning both sides of the cut"
                 )
     return None
-
-
-def supports_instance_dedup(
-    circuit: QuantumCircuit,
-    plan: MultiCutPlan,
-    protocols: Sequence[WireCutProtocol],
-) -> bool:
-    """Return True when the plan can be evaluated through an :class:`InstanceTable`."""
-    return instance_support_reason(circuit, plan, protocols) is None
 
 
 @dataclass(frozen=True)

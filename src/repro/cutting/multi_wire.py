@@ -740,6 +740,35 @@ def estimate_multi_cut_expectation(
             workers=workers,
         )
         return CutExpectationResult.from_adaptive(adaptive, protocol_name, exact_value)
+    return _estimate_static(
+        term_circuits,
+        pauli,
+        shots,
+        allocation=allocation,
+        seed=seed,
+        backend=backend,
+        protocol_name=protocol_name,
+        exact_value=exact_value,
+    )
+
+
+def _estimate_static(
+    term_circuits: Sequence[MultiCutTermCircuit],
+    pauli: PauliString,
+    shots: int,
+    *,
+    allocation: str,
+    seed: SeedLike,
+    backend: SimulatorBackend | str | None,
+    protocol_name: str,
+    exact_value: float | None,
+) -> CutExpectationResult:
+    """Run a term set once with the whole budget and recombine it (Eq. 12).
+
+    The static estimate of every cut kind: wire cuts
+    (:func:`estimate_multi_cut_expectation`) and gate cuts
+    (:func:`repro.cutting.gate_cutting.estimate_gate_cut_expectation`).
+    """
     term_estimates, shots_per_term = execute_term_circuits(
         term_circuits,
         pauli,

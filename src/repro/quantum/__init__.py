@@ -49,7 +49,6 @@ from repro.quantum.paulis import (
     PauliString,
     pauli_basis,
     pauli_decompose,
-    pauli_expectation_from_counts,
     pauli_matrix,
     pauli_reconstruct,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "pauli_matrix",
     "pauli_decompose",
     "pauli_reconstruct",
-    "pauli_expectation_from_counts",
     # partial operations
     "partial_trace",
     "partial_transpose",

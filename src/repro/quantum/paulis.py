@@ -9,7 +9,6 @@ expectation values.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -25,7 +24,6 @@ __all__ = [
     "pauli_basis",
     "pauli_decompose",
     "pauli_reconstruct",
-    "pauli_expectation_from_counts",
 ]
 
 _SINGLE_PAULI_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {
@@ -170,38 +168,3 @@ def pauli_reconstruct(coefficients: dict[str, complex], num_qubits: int) -> np.n
         matrix += coefficient * pauli_matrix(label)
     return matrix
 
-
-def pauli_expectation_from_counts(
-    counts: dict[str, int],
-    pauli_labels: str | None = None,
-    qubits: Sequence[int] | None = None,
-) -> float:
-    """Estimate a Z-basis Pauli expectation value from measurement counts.
-
-    The counts keys are bitstrings in circuit qubit order (qubit 0 leftmost).
-    ``pauli_labels`` selects which qubits contribute (only ``I`` and ``Z``
-    labels are valid here, since counts are computational-basis outcomes);
-    alternatively ``qubits`` gives the indices measured by a pure-Z observable.
-
-    Returns the empirical mean of ``(-1)^{parity of selected bits}``.
-    """
-    if pauli_labels is None and qubits is None:
-        raise ValueError("either pauli_labels or qubits must be provided")
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("counts are empty")
-    if pauli_labels is not None:
-        invalid = set(pauli_labels) - set("IZ")
-        if invalid:
-            raise GateError(
-                "only I/Z labels can be evaluated from computational-basis counts, "
-                f"got {sorted(invalid)}"
-            )
-        selected = [i for i, label in enumerate(pauli_labels) if label == "Z"]
-    else:
-        selected = list(qubits)  # type: ignore[arg-type]
-    accumulator = 0.0
-    for bitstring, count in counts.items():
-        parity = sum(int(bitstring[i]) for i in selected) % 2
-        accumulator += ((-1) ** parity) * count
-    return accumulator / total

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.shot_simulator import run_and_sample
+from repro.circuits.shot_simulator import ShotSimulator
 from repro.quantum.random import random_statevector
 from tests.reference.dense import DenseDensityMatrixSimulator
 
@@ -71,46 +71,46 @@ class TestShotSimulatorExact:
     def test_deterministic_circuit(self):
         circuit = QuantumCircuit(1, 1)
         circuit.x(0).measure(0, 0)
-        counts = run_and_sample(circuit, 100, seed=0)
+        counts = ShotSimulator().run(circuit, 100, seed=0)
         assert dict(counts) == {"1": 100}
 
     def test_bell_correlations(self):
-        counts = run_and_sample(_bell_measured(), 2000, seed=1)
+        counts = ShotSimulator().run(_bell_measured(), 2000, seed=1)
         assert set(counts.keys()) <= {"00", "11"}
         assert abs(counts["00"] - 1000) < 150
 
     def test_reproducible_with_seed(self):
-        a = run_and_sample(_bell_measured(), 500, seed=3)
-        b = run_and_sample(_bell_measured(), 500, seed=3)
+        a = ShotSimulator().run(_bell_measured(), 500, seed=3)
+        b = ShotSimulator().run(_bell_measured(), 500, seed=3)
         assert a == b
 
     def test_zero_shots(self):
-        counts = run_and_sample(_bell_measured(), 0, seed=0)
+        counts = ShotSimulator().run(_bell_measured(), 0, seed=0)
         assert counts.shots == 0
 
     def test_negative_shots(self):
         with pytest.raises(ValueError):
-            run_and_sample(_bell_measured(), -5)
+            ShotSimulator().run(_bell_measured(), -5)
 
     def test_requires_clbits(self):
         with pytest.raises(SimulationError):
-            run_and_sample(QuantumCircuit(1), 10)
+            ShotSimulator().run(QuantumCircuit(1), 10)
 
     def test_total_shots_preserved(self):
-        counts = run_and_sample(_bell_measured(), 1234, seed=9)
+        counts = ShotSimulator().run(_bell_measured(), 1234, seed=9)
         assert counts.shots == 1234
 
     def test_partial_measurement(self):
         circuit = QuantumCircuit(2, 1)
         circuit.h(0).cx(0, 1).measure(1, 0)
-        counts = run_and_sample(circuit, 4000, seed=2)
+        counts = ShotSimulator().run(circuit, 4000, seed=2)
         assert abs(counts["0"] - 2000) < 200
 
     def test_initial_state(self):
         state = random_statevector(1, seed=5)
         circuit = QuantumCircuit(1, 1)
         circuit.measure(0, 0)
-        counts = run_and_sample(circuit, 20_000, seed=6, initial_state=state)
+        counts = ShotSimulator().run(circuit, 20_000, seed=6, initial_state=state)
         expected_p1 = abs(state.data[1]) ** 2
         assert counts["1"] / counts.shots == pytest.approx(expected_p1, abs=0.02)
 
@@ -138,7 +138,7 @@ class TestShotSimulatorExact:
         circuit = build()
         shots = 4000
         reference = DenseDensityMatrixSimulator().run(circuit).classical_distribution()
-        counts = run_and_sample(circuit, shots, seed=11)
+        counts = ShotSimulator().run(circuit, shots, seed=11)
         assert counts.shots == shots
         assert set(counts) <= {key for key, p in reference.items() if p > 1e-12}
         for key, probability in reference.items():

@@ -1,4 +1,4 @@
-"""Unit tests for automatic cut finding (single- and multi-slice planners)."""
+"""Unit tests for automatic cut finding (one planner for any fragment count)."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.exceptions import CuttingError
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.expectation import exact_expectation
 from repro.cutting.cut_finding import (
-    find_time_slice_cuts,
-    fragment_widths,
     plan_cuts,
     plan_from_locations,
     plan_from_positions,
@@ -19,38 +17,31 @@ from repro.experiments import ghz_circuit
 from repro.quantum.paulis import PauliString
 
 
-class TestFragmentWidths:
-    def test_ghz_middle_slice(self):
-        circuit = ghz_circuit(4)  # h, cx01, cx12, cx23
-        front, back = fragment_widths(circuit, 2, {1})
-        assert front == 2  # qubits 0, 1
-        assert back == 3  # qubits 1, 2, 3
-
-    def test_empty_front(self):
-        circuit = ghz_circuit(3)
-        front, back = fragment_widths(circuit, 0, set())
-        assert front == 0
-        assert back == 3
+def _single_slice_plans(circuit, max_fragment_width, **options):
+    """The planner's two-fragment cut plans: one time slice, at least one cut."""
+    plans = plan_cuts(circuit, max_fragment_width, max_fragments=2, **options)
+    return [plan for plan in plans if plan.num_cuts > 0]
 
 
 class TestFindTimeSliceCuts:
     def test_ghz_single_cut_found(self):
         circuit = ghz_circuit(4)
-        plans = find_time_slice_cuts(circuit, max_fragment_width=3)
+        plans = _single_slice_plans(circuit, max_fragment_width=3)
         assert plans, "expected at least one valid plan"
         best = plans[0]
         assert best.num_cuts == 1
         assert best.sampling_overhead == pytest.approx(3.0)
-        assert best.front_width <= 3 and best.back_width <= 3
+        assert best.num_fragments == 2
+        assert best.max_width <= 3
 
     def test_width_constraint_filters_plans(self):
         circuit = ghz_circuit(4)
-        assert find_time_slice_cuts(circuit, max_fragment_width=1) == []
+        assert _single_slice_plans(circuit, max_fragment_width=1) == []
 
     def test_entanglement_lowers_reported_overhead(self):
         circuit = ghz_circuit(4)
-        plain = find_time_slice_cuts(circuit, max_fragment_width=3)[0]
-        assisted = find_time_slice_cuts(circuit, max_fragment_width=3, entanglement_overlap=0.9)[0]
+        plain = _single_slice_plans(circuit, max_fragment_width=3)[0]
+        assisted = _single_slice_plans(circuit, max_fragment_width=3, entanglement_overlap=0.9)[0]
         assert assisted.sampling_overhead < plain.sampling_overhead
 
     def test_max_cuts_filter(self):
@@ -58,18 +49,18 @@ class TestFindTimeSliceCuts:
         circuit = QuantumCircuit(4)
         circuit.h(0).h(1).h(2).h(3)
         circuit.cx(0, 2).cx(1, 3)
-        plans_all = find_time_slice_cuts(circuit, max_fragment_width=4)
-        plans_restricted = find_time_slice_cuts(circuit, max_fragment_width=4, max_cuts=1)
+        plans_all = _single_slice_plans(circuit, max_fragment_width=4)
+        plans_restricted = _single_slice_plans(circuit, max_fragment_width=4, max_cuts=1)
         assert any(p.num_cuts >= 2 for p in plans_all)
         assert all(p.num_cuts <= 1 for p in plans_restricted)
 
     def test_invalid_width(self):
         with pytest.raises(CuttingError):
-            find_time_slice_cuts(ghz_circuit(3), max_fragment_width=0)
+            _single_slice_plans(ghz_circuit(3), max_fragment_width=0)
 
     def test_plans_sorted_by_overhead(self):
         circuit = ghz_circuit(5)
-        plans = find_time_slice_cuts(circuit, max_fragment_width=4)
+        plans = _single_slice_plans(circuit, max_fragment_width=4)
         overheads = [p.sampling_overhead for p in plans]
         assert overheads == sorted(overheads)
 
@@ -79,7 +70,7 @@ class TestFindTimeSliceCuts:
         circuit = ghz_circuit(4)
         observable = PauliString("ZZII")
         exact = exact_expectation(circuit, observable)
-        best = find_time_slice_cuts(circuit, max_fragment_width=3)[0]
+        best = _single_slice_plans(circuit, max_fragment_width=3)[0]
         result = estimate_multi_cut_expectation(
             circuit,
             list(best.locations),
@@ -95,11 +86,14 @@ class TestFindTimeSliceCuts:
 class TestPlanFromPositions:
     def test_single_slice_matches_single_slice_finder(self):
         circuit = ghz_circuit(4)
-        best = find_time_slice_cuts(circuit, max_fragment_width=3)[0]
+        best = _single_slice_plans(circuit, max_fragment_width=3)[0]
         plan = plan_from_positions(circuit, (best.locations[0].position,))
-        assert plan.locations == best.locations
-        assert plan.sampling_overhead == pytest.approx(best.sampling_overhead)
+        assert plan == best
         assert plan.num_fragments == 2
+        # GHZ(4) = h, cx01, cx12, cx23: the middle slice leaves qubits 0, 1
+        # in front and 1, 2, 3 (the cut wire on its receiver) behind.
+        middle = plan_from_positions(circuit, (2,))
+        assert [fragment.width for fragment in middle.fragments] == [2, 3]
 
     def test_wire_crossing_two_slices_is_cut_twice(self):
         # q0 is used at instructions 0, 1 and 3 — it crosses both slices and

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CuttingError
+from repro.circuits.backends import resolve_backend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.expectation import exact_expectation
 from repro.cutting.gate_cutting import (
@@ -12,9 +13,11 @@ from repro.cutting.gate_cutting import (
     build_gate_cut_circuits,
     estimate_gate_cut_expectation,
 )
+from repro.cutting.multi_wire import exact_probabilities_plus, execute_term_circuits
 from repro.qpd.superop import apply_superoperator
 from repro.quantum.paulis import PauliString
 from repro.quantum.random import random_density_matrix
+from tests.reference.dense import DenseStatevectorSimulator
 
 
 class TestZZGateCut:
@@ -116,7 +119,22 @@ class TestGateCutCircuits:
 
     def test_observable_mismatch(self):
         with pytest.raises(CuttingError):
-            estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "Z", shots=10)
+            estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "ZZZ", shots=10)
+
+    def test_single_letter_observable_is_qubit_zero(self):
+        # As for wire cuts, a single letter is the observable on qubit 0.
+        short = estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "Z", 2000, seed=4)
+        full = estimate_gate_cut_expectation(self._circuit(), 2, CZGateCut(), "ZI", 2000, seed=4)
+        assert short == full
+
+    def test_term_circuit_records(self):
+        circuits = build_gate_cut_circuits(self._circuit(), 2, CZGateCut())
+        protocol_terms = CZGateCut().terms
+        for index, (term_circuit, term) in enumerate(zip(circuits, protocol_terms)):
+            assert term_circuit.term_indices == (index,)
+            assert term_circuit.labels == (term.label,)
+            assert term_circuit.coefficient == term.coefficient
+            assert term_circuit.qubit_map == {0: 0, 1: 1}
 
     def test_shot_accounting(self):
         result = estimate_gate_cut_expectation(
@@ -124,3 +142,53 @@ class TestGateCutCircuits:
         )
         assert sum(result.shots_per_term) == 500
         assert result.kappa == pytest.approx(3.0)
+
+
+def _prepared(two_qubit_gate) -> QuantumCircuit:
+    """Rotations, the gate to cut (instruction 2), then more rotations."""
+    circuit = QuantumCircuit(2, 0, name="gate_cut_workload")
+    circuit.ry(0.7, 0).rx(1.2, 1)
+    two_qubit_gate(circuit)
+    circuit.ry(0.4, 0).rz(0.9, 1).h(1)
+    return circuit
+
+
+_GATE_CUTS = [
+    pytest.param(lambda c: c.cz(0, 1), CZGateCut(), id="cz"),
+    # rzz(θ) = exp(-iθ/2 Z⊗Z), so the matching protocol is ZZGateCut(-θ/2).
+    pytest.param(lambda c: c.rzz(0.8, 0, 1), ZZGateCut(-0.4), id="zz(0.8)"),
+    pytest.param(lambda c: c.rzz(-2.1, 0, 1), ZZGateCut(1.05), id="zz(-2.1)"),
+]
+
+
+class TestGateCutReconstruction:
+    """The gate cut, run through the wire cut's term executor, is exact."""
+
+    @pytest.mark.parametrize("two_qubit_gate, protocol", _GATE_CUTS)
+    @pytest.mark.parametrize("observable", ["XI", "IY", "ZI", "XX", "YZ", "ZZ", "XY"])
+    def test_exact_reconstruction_matches_dense_uncut_value(
+        self, two_qubit_gate, protocol, observable
+    ):
+        circuit = _prepared(two_qubit_gate)
+        pauli = PauliString(observable)
+        uncut = DenseStatevectorSimulator().run(circuit).expectation_value(pauli.to_matrix())
+        term_circuits = build_gate_cut_circuits(circuit, 2, protocol)
+        probabilities_plus = exact_probabilities_plus(
+            term_circuits, [pauli] * len(term_circuits), resolve_backend("serial")
+        )
+        reconstructed = sum(
+            term.coefficient * (2.0 * p_plus - 1.0)
+            for term, p_plus in zip(term_circuits, probabilities_plus)
+        )
+        assert reconstructed == pytest.approx(float(np.real(uncut)), abs=1e-12)
+
+    @pytest.mark.parametrize("two_qubit_gate, protocol", _GATE_CUTS)
+    def test_serial_and_vectorized_bitwise_equal(self, two_qubit_gate, protocol):
+        term_circuits = build_gate_cut_circuits(_prepared(two_qubit_gate), 2, protocol)
+        outcomes = {}
+        for backend in ("serial", "vectorized"):
+            estimates, shots_per_term = execute_term_circuits(
+                term_circuits, PauliString("XZ"), 3000, seed=11, backend=backend
+            )
+            outcomes[backend] = ([e.mean for e in estimates], shots_per_term)
+        assert outcomes["serial"] == outcomes["vectorized"]

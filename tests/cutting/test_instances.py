@@ -17,7 +17,6 @@ from repro.cutting import (
     plan_from_locations,
     plan_from_positions,
     split_wire_cut_term,
-    supports_instance_dedup,
 )
 from repro.cutting.cutter import CutLocation
 from repro.cutting.nme_cut import NMEWireCut
@@ -85,7 +84,6 @@ class TestSupportReason:
         circuit = chain_circuit(4)
         plan = plan_from_positions(circuit, (4,))
         assert instance_support_reason(circuit, plan, [HaradaWireCut()]) is None
-        assert supports_instance_dedup(circuit, plan, [HaradaWireCut()])
 
     def test_no_cuts(self):
         from repro.cutting.cut_finding import MultiCutPlan
@@ -297,7 +295,7 @@ class TestGhzPlannerPlans:
         # full slices, so store-backed GHZ jobs dedup out of the box.
         circuit = ghz_circuit(4)
         plan = plan_from_positions(circuit, (2, 3))
-        assert supports_instance_dedup(circuit, plan, [HaradaWireCut()] * 2)
+        assert instance_support_reason(circuit, plan, [HaradaWireCut()] * 2) is None
         table = build_instance_table(circuit, plan, [HaradaWireCut()] * 2, "ZZZZ")
         table.evaluate("vectorized")
         assert table.contract_exact_value() == pytest.approx(1.0, abs=1e-9)

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.circuits.counts import Counts
 from repro.exceptions import DimensionError, GateError
 from repro.quantum.gates import X, Y, Z
 from repro.quantum.paulis import (
     PauliString,
     pauli_basis,
     pauli_decompose,
-    pauli_expectation_from_counts,
     pauli_reconstruct,
 )
 
@@ -118,29 +118,24 @@ class TestPauliDecompose:
 
 
 class TestPauliExpectationFromCounts:
+    """A Z-type Pauli expectation read off computational-basis counts."""
+
     def test_all_zero_counts(self):
-        assert pauli_expectation_from_counts({"00": 100}, "ZZ") == pytest.approx(1.0)
+        assert Counts({"00": 100}).expectation_z([0, 1]) == pytest.approx(1.0)
 
     def test_parity(self):
-        counts = {"01": 50, "10": 50}
-        assert pauli_expectation_from_counts(counts, "ZZ") == pytest.approx(-1.0)
+        counts = Counts({"01": 50, "10": 50})
+        assert counts.expectation_z([0, 1]) == pytest.approx(-1.0)
 
     def test_identity_marginalises(self):
-        counts = {"01": 30, "00": 70}
-        assert pauli_expectation_from_counts(counts, "ZI") == pytest.approx(1.0)
+        # ZI: the identity on qubit 1 leaves its bit out of the parity.
+        counts = Counts({"01": 30, "00": 70})
+        assert counts.expectation_z([0]) == pytest.approx(1.0)
 
     def test_qubit_selection(self):
-        counts = {"01": 40, "00": 60}
-        assert pauli_expectation_from_counts(counts, qubits=[1]) == pytest.approx(0.2)
-
-    def test_rejects_x_labels(self):
-        with pytest.raises(GateError):
-            pauli_expectation_from_counts({"0": 1}, "X")
+        counts = Counts({"01": 40, "00": 60})
+        assert counts.expectation_z([1]) == pytest.approx(0.2)
 
     def test_rejects_empty_counts(self):
         with pytest.raises(ValueError):
-            pauli_expectation_from_counts({}, "Z")
-
-    def test_requires_labels_or_qubits(self):
-        with pytest.raises(ValueError):
-            pauli_expectation_from_counts({"0": 1})
+            Counts({}).expectation_z([0])

@@ -1,5 +1,6 @@
 """Package-level tests: metadata, exceptions, public API surface, examples."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -100,6 +101,44 @@ class TestSubpackageImports:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "[]"
+
+
+def _source_modules():
+    """Yield ``(path relative to the package, parsed tree)`` for every module in ``src/repro``."""
+    package = pathlib.Path(repro.__file__).resolve().parent
+    for path in sorted(package.rglob("*.py")):
+        yield path.relative_to(package).as_posix(), ast.parse(path.read_text(), str(path))
+
+
+class TestOneMeasurementPath:
+    """Observable measurement and the counts-to-means reduction each live in one place."""
+
+    def test_basis_change_table_has_one_user_per_layer(self):
+        # The table's home, the term executor's measured_multi_cut_circuit and
+        # the instance layer's per-fragment measurement.
+        allowed = {"circuits/expectation.py", "cutting/multi_wire.py", "cutting/instances.py"}
+        users = {
+            module
+            for module, tree in _source_modules()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "_BASIS_CHANGE")
+            or (isinstance(node, ast.alias) and node.name == "_BASIS_CHANGE")
+            or (isinstance(node, ast.Attribute) and node.attr == "_BASIS_CHANGE")
+        }
+        assert users <= allowed, sorted(users - allowed)
+
+    def test_counts_reduce_to_means_in_the_round_executor_only(self):
+        # BackendRoundExecutor and its per-unit mirror in the worker pool.
+        allowed = {"cutting/multi_wire.py", "distributed/pool.py"}
+        callers = {
+            module
+            for module, tree in _source_modules()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "expectation_z"
+        }
+        assert callers <= allowed, sorted(callers - allowed)
 
 
 class TestExamples:
