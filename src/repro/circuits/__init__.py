@@ -18,6 +18,8 @@ Public API
 :class:`SimulatorBackend` implementations
     Batched execution of circuit collections (serial, vectorized,
     process-pool) behind one interface; see :mod:`repro.circuits.backends`.
+    All three simulate with :class:`BatchedDensityMatrixSimulator`, which
+    branches only on measurements that really are mid-circuit.
 
 Every simulator applies gates with the axis-local tensor contractions of
 :mod:`repro.circuits.kernels`; no full-space ``2^n × 2^n`` operator is built

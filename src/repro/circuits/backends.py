@@ -11,9 +11,10 @@ Available backends
 ------------------
 
 =====================  ======================================================
-``SerialBackend``      One :class:`~repro.circuits.shot_simulator.ShotSimulator`
-                       run per circuit, in submission order; the baseline
-                       every other backend must agree with bitwise.
+``SerialBackend``      One exact simulation per circuit, in submission order
+                       (:class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`
+                       on a batch of one, no cache), sampled like every
+                       other backend; the baseline they agree with bitwise.
 ``VectorizedBackend``  Groups structurally identical circuits, executes each
                        group as one ``(batch, dim, dim)`` NumPy computation
                        (:class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`),
@@ -59,8 +60,6 @@ from repro.telemetry.metrics import REGISTRY
 from repro.circuits.batched_simulator import BatchedDensityMatrixSimulator, structure_signature
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.counts import Counts
-from repro.circuits.density_matrix_simulator import DensityMatrixSimulator
-from repro.circuits.shot_simulator import ShotSimulator
 from repro.utils.rng import SeedLike, spawn_seed_sequences
 
 __all__ = [
@@ -246,16 +245,17 @@ def _sample_batch(
 
 
 class SerialBackend:
-    """Baseline backend: one shot-simulator run per circuit, in order.
+    """Baseline backend: one uncached exact simulation per circuit, in order.
 
-    This is the seed repository's original execution path behind the batch
-    interface.
+    Each circuit runs as a batch of one through the simulator the vectorized
+    backend batches, and is sampled by the same routine from the same child
+    stream, so serial and vectorized results agree by construction.
     """
 
     name = "serial"
 
     def __init__(self):
-        self._simulator = ShotSimulator()
+        self._simulator = BatchedDensityMatrixSimulator()
 
     def run_batch(
         self,
@@ -265,18 +265,12 @@ class SerialBackend:
     ) -> list[Counts]:
         _check_batch(circuits, shots)
         children = spawn_seed_sequences(seed, len(circuits))
-        return [
-            self._simulator.run(circuit, shots=int(count), seed=np.random.default_rng(child))
-            if count > 0
-            else Counts({}, num_clbits=circuit.num_clbits)
-            for circuit, count, child in zip(circuits, shots, children)
-        ]
+        return _sample_batch(self, circuits, shots, children)
 
     def exact_distributions(
         self, circuits: Sequence[QuantumCircuit]
     ) -> list[dict[str, float]]:
-        simulator = DensityMatrixSimulator()
-        return [simulator.run(circuit).classical_distribution() for circuit in circuits]
+        return [self._simulator.run_group([circuit])[0] for circuit in circuits]
 
 
 class VectorizedBackend:

@@ -6,10 +6,16 @@ It maintains one (sub-normalised) density matrix per classical-register
 value reached so far, which keeps feed-forward exact: a conditioned gate is
 applied only to the branches whose classical bits satisfy the condition.
 
-The number of branches is at most ``2^{#measurements}``, which is tiny for
-the teleportation and wire-cut circuits (≤ 3 measurements), so this is both
-exact and fast.  The exact classical-outcome distribution it produces is what
-:class:`~repro.circuits.shot_simulator.ShotSimulator` samples shots from.
+The number of branches is up to ``2^{#measurements}``, terminal
+measurements included: a measured 2-cut NME term circuit has 8 measurements
+and up to 256 dense branches.  This simulator returns the branch states,
+which :mod:`repro.circuits.expectation`,
+:class:`~repro.circuits.shot_simulator.ShotSimulator` and the gate-noise
+path of :class:`repro.devices.NoisyDeviceBackend` use.  The execution
+backends only need outcome distributions and run
+:class:`~repro.circuits.batched_simulator.BatchedDensityMatrixSimulator`,
+which defers every measurement that is not really mid-circuit and matches
+this simulator's distributions bitwise.
 
 Simulation kernel
 -----------------

@@ -62,6 +62,7 @@ __all__ = [
     "prepared_cache_info",
     "clear_prepared_cache",
     "apply_unitary",
+    "apply_controlled_unitary",
     "apply_kraus",
     "apply_unitary_statevector",
     "project_qubit",
@@ -290,6 +291,41 @@ def apply_unitary(
     out = _axis_matmul_left(tensor, prefix, op, ket_axes)
     out = _axis_matmul_right(out, prefix, op_dagger, bra_axes)
     return np.ascontiguousarray(out).reshape(rho.shape)
+
+
+def apply_controlled_unitary(
+    rho: np.ndarray,
+    operator: PreparedOperator | np.ndarray,
+    qubits: Sequence[int],
+    control: int,
+    value: int,
+    num_qubits: int,
+) -> np.ndarray:
+    """Return ``C ρ C†`` for ``C = |v⟩⟨v|_control ⊗ U + |1−v⟩⟨1−v|_control ⊗ I``.
+
+    ``U`` left-multiplies only the rows whose ``control`` ket bit is ``value``
+    and ``U†`` right-multiplies only the columns whose bra bit is ``value``,
+    so every entry goes through the same ``2^k``-term contractions as
+    :func:`apply_unitary` on the projected piece ``P_v ρ P_v`` — the
+    classically conditioned gate this replaces under deferred measurement.
+    ``control`` must not be one of ``qubits``.
+    """
+    qubits = list(qubits)
+    if isinstance(operator, PreparedOperator):
+        op, op_dagger = operator.matrix, operator.dagger
+    else:
+        op = np.ascontiguousarray(operator, dtype=complex)
+        op_dagger = np.ascontiguousarray(op.conj().swapaxes(-1, -2))
+    tensor, prefix = _tensor_view(rho, num_qubits, rank=2)
+    out = tensor.copy()
+    # Fixing the control axis drops it from the sub-tensor: later axes shift down.
+    shifted = [q - (q > control) for q in qubits]
+    rows = _block_index(out.ndim, (control,), (value,), prefix)
+    out[rows] = _axis_matmul_left(out[rows], prefix, op, shifted)
+    columns = _block_index(out.ndim, (num_qubits + control,), (value,), prefix)
+    bra_axes = [num_qubits + q for q in shifted]
+    out[columns] = _axis_matmul_right(out[columns], prefix, op_dagger, bra_axes)
+    return out.reshape(rho.shape)
 
 
 def apply_kraus(
